@@ -17,11 +17,10 @@
 //!   result carries a [`SKETCH_ONLY_NOTE`] degradation note because the
 //!   reported distances are approximations.
 //!
-//! [`SketchTier`] bundles the two sketch families of
-//! `earthmover-sketch` (the distortion-certified tree embedding that
-//! answers sketch-only queries, and the normal-distribution projection
-//! kept as an index-side filter surface) built over one database, with
-//! sidecar persistence next to the `.emdc` column store.
+//! [`SketchTier`] is the distortion-certified tree embedding of
+//! `earthmover-sketch` built over one database — the arena that answers
+//! sketch-only queries — with sidecar persistence next to the `.emdc`
+//! column store.
 
 use std::io;
 use std::path::Path;
@@ -35,7 +34,7 @@ use crate::histogram::Histogram;
 use crate::stats::QueryStats;
 use earthmover_obs as obs;
 use earthmover_sketch::{
-    load_sidecar, save_sidecar, NormalProjection, Sketch, SketchIndex, SketchSidecar, TreeEmbedding,
+    load_sidecar, save_sidecar, Sketch, SketchIndex, SketchSidecar, TreeEmbedding,
 };
 use serde::{Deserialize, Serialize};
 
@@ -145,13 +144,15 @@ pub struct RetrievalInfo {
     pub recall: f64,
 }
 
-/// Both sketch families built over one database, ready to answer
-/// sketch-only queries and to persist as a sidecar next to the column
-/// store.
+/// The tree-embedding sketch index built over one database, ready to
+/// answer sketch-only queries and to persist as a sidecar next to the
+/// column store.
 #[derive(Debug, Clone)]
 pub struct SketchTier {
     tree: SketchIndex<TreeEmbedding>,
-    normal: SketchIndex<NormalProjection>,
+    /// Feature-space dimensionality of the grid the tier was built
+    /// over; persisted so a sidecar is refused against another grid.
+    feature_dims: usize,
 }
 
 fn sketch_err(e: earthmover_sketch::SketchError) -> PipelineError {
@@ -162,8 +163,8 @@ fn sketch_err(e: earthmover_sketch::SketchError) -> PipelineError {
 }
 
 impl SketchTier {
-    /// Builds both sketch indexes by streaming every database block
-    /// through the projections — works for resident and paged databases
+    /// Builds the sketch index by streaming every database block
+    /// through the projection — works for resident and paged databases
     /// alike. `seed` fixes the tree embedding's grid shift.
     pub fn build(db: &HistogramDb, grid: &BinGrid, seed: u64) -> Result<Self, PipelineError> {
         if grid.num_bins() != db.dims() {
@@ -179,17 +180,17 @@ impl SketchTier {
         let mut span = obs::span!("sketch_build", rows = db.len());
         let tree_sketch = TreeEmbedding::new(grid.centroids(), seed).map_err(sketch_err)?;
         span.record("distortion", tree_sketch.distortion());
-        let normal_sketch = NormalProjection::new(grid.centroids()).map_err(sketch_err)?;
         let mut tree = SketchIndex::new(tree_sketch);
-        let mut normal = SketchIndex::new(normal_sketch);
         for b in 0..db.num_blocks() {
             let block = db.block(b)?;
             for row in block.chunks_exact(db.dims()) {
                 tree.push(row).map_err(sketch_err)?;
-                normal.push(row).map_err(sketch_err)?;
             }
         }
-        Ok(SketchTier { tree, normal })
+        Ok(SketchTier {
+            tree,
+            feature_dims: grid.feature_dims(),
+        })
     }
 
     /// Number of sketched rows (equals the database length the tier was
@@ -221,12 +222,6 @@ impl SketchTier {
     /// queries).
     pub fn tree(&self) -> &SketchIndex<TreeEmbedding> {
         &self.tree
-    }
-
-    /// The normal-distribution index (kept as an index-side filter
-    /// surface).
-    pub fn normal(&self) -> &SketchIndex<NormalProjection> {
-        &self.normal
     }
 
     /// k nearest rows under the tree-embedding sketch distance, sorted
@@ -272,13 +267,11 @@ impl SketchTier {
     pub fn to_sidecar(&self) -> SketchSidecar {
         SketchSidecar {
             seed: self.seed(),
-            feature_dims: self.normal.sketch().feature_dims() as u32,
+            feature_dims: self.feature_dims as u32,
             bins: self.tree.sketch().bins() as u32,
             rows: self.rows() as u64,
             tree_dim: self.tree.dim() as u32,
             tree_arena: self.tree.arena().to_vec(),
-            normal_dim: self.normal.dim() as u32,
-            normal_arena: self.normal.arena().to_vec(),
         }
     }
 
@@ -288,9 +281,9 @@ impl SketchTier {
         save_sidecar(path, &self.to_sidecar())
     }
 
-    /// Loads a sidecar and rebuilds the sketch definitions
+    /// Loads a sidecar and rebuilds the sketch definition
     /// deterministically from `grid` and the stored seed — only the row
-    /// arenas (the expensive part) come from disk. Geometry mismatches
+    /// arena (the expensive part) comes from disk. Geometry mismatches
     /// against the grid are reported as [`io::ErrorKind::InvalidData`].
     pub fn load(path: &Path, grid: &BinGrid) -> io::Result<Self> {
         let sidecar = load_sidecar(path)?;
@@ -315,22 +308,14 @@ impl SketchTier {
                 sidecar.tree_dim
             )));
         }
-        let normal_sketch =
-            NormalProjection::new(grid.centroids()).map_err(|e| invalid(e.to_string()))?;
-        if normal_sketch.dim() != sidecar.normal_dim as usize {
-            return Err(invalid(format!(
-                "rebuilt normal sketch has dim {} but sidecar stored {}",
-                normal_sketch.dim(),
-                sidecar.normal_dim
-            )));
-        }
         let rows = usize::try_from(sidecar.rows)
             .map_err(|_| invalid("sidecar row count overflows usize".into()))?;
         let tree = SketchIndex::from_parts(tree_sketch, sidecar.tree_arena, rows)
             .map_err(|e| invalid(e.to_string()))?;
-        let normal = SketchIndex::from_parts(normal_sketch, sidecar.normal_arena, rows)
-            .map_err(|e| invalid(e.to_string()))?;
-        Ok(SketchTier { tree, normal })
+        Ok(SketchTier {
+            tree,
+            feature_dims: grid.feature_dims(),
+        })
     }
 }
 

@@ -23,6 +23,7 @@
 
 use crate::db::HistogramDb;
 use crate::provider::PagedBlocks;
+pub use earthmover_storage::pagefile::crc32;
 pub use earthmover_storage::{ColumnWriter, StdVfs, Vfs};
 
 use earthmover_storage::{rows_per_block_for, BlockPool, ColumnStore};
@@ -279,33 +280,6 @@ pub fn open_paged_with(
     let capacity = (max_resident_bytes / block_bytes.max(1)).max(1);
     let pool = BlockPool::new(store, capacity);
     Ok(HistogramDb::from_paged(PagedBlocks::new(pool)))
-}
-
-/// CRC-32 (IEEE 802.3) over a byte slice, table-driven.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    // Build the table on first use; 1 KiB, computed once.
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        table
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xFFFF_FFFF
 }
 
 #[cfg(test)]

@@ -18,9 +18,9 @@
 //!    `LB_IM^sym = max(fwd, bwd) ≥ LB_IM^fwd`.
 //!
 //! The approximate tier joins the matrix with its own contracts: the
-//! tree embedding's certified two-sided distortion bound, the normal
-//! sketch's metric hygiene (symmetry, zero on self), and the ε-relaxed
-//! refinement's `(1+ε)` guarantee against the exact k-NN answer.
+//! tree embedding's certified two-sided distortion bound and the
+//! ε-relaxed refinement's `(1+ε)` guarantee against the exact k-NN
+//! answer.
 
 use earthmover_core::db::HistogramDb;
 use earthmover_core::pipeline::QueryEngine;
@@ -29,7 +29,7 @@ use earthmover_core::sketch_tier::RetrievalMode;
 use earthmover_core::{
     BinGrid, DistanceMeasure, ExactEmd, Histogram, LbAvg, LbEuclidean, LbIm, LbManhattan, LbMax,
 };
-use earthmover_sketch::{NormalProjection, Sketch, TreeEmbedding};
+use earthmover_sketch::{Sketch, TreeEmbedding};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -243,39 +243,6 @@ proptest! {
         prop_assert!(
             d_tree <= gamma * exact + EPS,
             "tree distance {d_tree} > {gamma} * EMD {exact}"
-        );
-    }
-
-    /// Metric hygiene of the normal sketch's closed-form distance: it
-    /// makes no admissibility claim, but it must be symmetric,
-    /// non-negative, and exactly zero on identical histograms for the
-    /// index scan over it to rank sensibly.
-    #[test]
-    fn normal_sketch_distance_is_symmetric_and_zero_on_self(
-        seed in any::<u64>(),
-        shape in 0usize..3,
-    ) {
-        let axes = [vec![4, 2, 2], vec![4, 4, 2], vec![3, 3, 3]][shape].clone();
-        let grid = BinGrid::new(axes);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let x = random_histogram(&mut rng, grid.num_bins());
-        let y = random_histogram(&mut rng, grid.num_bins());
-
-        let normal = NormalProjection::new(grid.centroids()).unwrap();
-        let mut ex = vec![0.0; normal.dim()];
-        let mut ey = vec![0.0; normal.dim()];
-        normal.project(x.bins(), &mut ex).unwrap();
-        normal.project(y.bins(), &mut ey).unwrap();
-        let fwd = normal.distance(&ex, &ey);
-        let bwd = normal.distance(&ey, &ex);
-        prop_assert!(fwd >= 0.0, "negative normal distance {fwd}");
-        prop_assert!(
-            within_one_ulp(fwd, bwd),
-            "normal distance is asymmetric: {fwd:e} vs {bwd:e}"
-        );
-        prop_assert!(
-            normal.distance(&ex, &ex) == 0.0,
-            "normal self-distance is not zero"
         );
     }
 

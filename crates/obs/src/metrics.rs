@@ -50,6 +50,17 @@ impl Gauge {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
+    /// Atomically adds `delta` (negative to decrement): a CAS loop on
+    /// the bits, so concurrent adders never lose an update the way
+    /// `set(get() + delta)` does.
+    pub fn add(&self, delta: f64) {
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                Some((f64::from_bits(bits) + delta).to_bits())
+            });
+    }
+
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
@@ -347,6 +358,26 @@ mod tests {
         r.gauge("db_size").set(128.0);
         assert_eq!(r.counter("queries_total").get(), 5);
         assert_eq!(r.gauge("db_size").get(), 128.0);
+    }
+
+    /// Two threads released together each add 1.0 a million
+    /// times; a non-atomic `set(get() + 1.0)` loses updates here.
+    #[test]
+    fn gauge_add_loses_no_update_under_contention() {
+        const ADDS: usize = 1_000_000;
+        let gauge = Gauge::default();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..ADDS {
+                        gauge.add(1.0);
+                    }
+                });
+            }
+        });
+        assert_eq!(gauge.get(), (2 * ADDS) as f64);
     }
 
     #[test]

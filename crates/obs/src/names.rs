@@ -35,7 +35,7 @@ pub const SPAN_NAMES: &[&str] = &[
     "mtree_knn",
     "mtree_range",
     // sketch tier: one build span per tier construction, one scan span
-    // per sketch-only k-NN answered from the columnar arenas.
+    // per sketch-only k-NN answered from the columnar arena.
     "sketch_build",
     "sketch_scan",
     // storage

@@ -29,7 +29,7 @@ use earthmover_core::{HistogramDb, RetrievalMode, SketchTier};
 use earthmover_obs::{self as obs, MetricsRegistry, Subscriber};
 use std::io;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -100,7 +100,6 @@ struct Shared<'env> {
     queue: ConnQueue,
     stop: StopHandle,
     started: Instant,
-    requests_in_flight: AtomicU64,
 }
 
 /// A running `emdd` server bound to its listener. Create with
@@ -176,7 +175,6 @@ impl Server {
             queue: ConnQueue::new(self.cfg.queue_depth),
             stop: self.stop.clone(),
             started: Instant::now(),
-            requests_in_flight: AtomicU64::new(0),
         };
         let shed = ShedLane::new();
         std::thread::scope(|scope| {
@@ -299,7 +297,7 @@ fn worker_loop(shared: &Shared<'_>) {
 /// timeout, a protocol error, or a drain.
 fn serve_connection(shared: &Shared<'_>, mut stream: TcpStream) {
     let active = shared.registry.gauge("serve_active_connections");
-    active.set(active.get() + 1.0);
+    active.add(1.0);
     let mut span = obs::span!("serve_connection");
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
@@ -337,7 +335,7 @@ fn serve_connection(shared: &Shared<'_>, mut stream: TcpStream) {
     span.record("requests", served as f64);
     drop(span);
     let _ = stream.shutdown(Shutdown::Both);
-    active.set((active.get() - 1.0).max(0.0));
+    active.add(-1.0);
 }
 
 /// Decodes and executes one frame; returns `false` when the connection
@@ -345,7 +343,6 @@ fn serve_connection(shared: &Shared<'_>, mut stream: TcpStream) {
 fn handle_frame(shared: &Shared<'_>, stream: &mut TcpStream, raw: RawFrame) -> bool {
     let request_id = raw.request_id;
     shared.registry.counter("serve_requests_total").inc(1);
-    shared.requests_in_flight.fetch_add(1, Ordering::SeqCst);
     let started = Instant::now();
     let request = raw.into_request_ext();
     let endpoint = match &request {
@@ -392,7 +389,6 @@ fn handle_frame(shared: &Shared<'_>, stream: &mut TcpStream, raw: RawFrame) -> b
     }
     span.record("elapsed_us", elapsed.as_secs_f64() * 1e6);
     drop(span);
-    shared.requests_in_flight.fetch_sub(1, Ordering::SeqCst);
     let wrote =
         protocol::write_frame(stream, &protocol::encode_response(request_id, &response)).is_ok();
     keep_going && wrote

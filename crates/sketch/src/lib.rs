@@ -8,33 +8,25 @@
 //! lower bounds are admissible, recall is always 1.0, and latency is
 //! whatever refinement costs. This crate provides the missing third
 //! operating point — bounded-recall retrieval at a fraction of the
-//! latency — with two sketch families behind the common [`Sketch`]
-//! trait:
+//! latency — with one sketch family behind the [`Sketch`] trait:
 //!
 //! * [`TreeEmbedding`] — a hierarchical shifted-grid embedding of bin
 //!   space (quadtree-style, after Indyk & Thaper). The L1 distance
 //!   between embedding vectors equals the EMD under a dominating tree
 //!   metric, giving the two-sided guarantee
 //!   `EMD <= d_tree <= distortion() * EMD`.
-//! * [`NormalProjection`] — per-histogram normal-distribution
-//!   parameterization (projected mean + per-axis spread, after
-//!   Ruttenberg & Singh) with a closed-form 2-Wasserstein distance.
-//!   Symmetric and zero on self; a cheap index-side filter with no
-//!   admissibility claim.
 //!
 //! [`SketchIndex`] stores projected rows in a columnar arena and scans
 //! them through a prepared block kernel ([`PreparedSketchQuery`]) in
 //! 16-row tiles, mirroring the block-kernel scan path of the exact
-//! engine. [`store`] persists the arenas in a sidecar file alongside
+//! engine. [`store`] persists the arena in a sidecar file alongside
 //! the paged column store.
 
 pub mod index;
-pub mod normal;
 pub mod store;
 pub mod tree;
 
 pub use index::{PreparedSketchQuery, SketchIndex, TILE};
-pub use normal::NormalProjection;
 pub use store::{load_sidecar, save_sidecar, SketchSidecar};
 pub use tree::TreeEmbedding;
 
@@ -107,7 +99,7 @@ pub trait Sketch {
     /// Closed-form distance between two projected vectors.
     fn distance(&self, a: &[f64], b: &[f64]) -> f64;
 
-    /// Short display name (`"tree"`, `"normal"`).
+    /// Short display name (`"tree"`).
     fn name(&self) -> &'static str;
 }
 

@@ -1,27 +1,29 @@
-//! Sidecar persistence for sketch arenas.
+//! Sidecar persistence for the sketch arena.
 //!
-//! Projecting every database row through both sketch families is the
+//! Projecting every database row through the tree embedding is the
 //! expensive part of building the approximate tier; the sketch
-//! *definitions* are cheap to rebuild deterministically from the bin
+//! *definition* is cheap to rebuild deterministically from the bin
 //! centroids and the stored seed. The sidecar therefore persists only
-//! the seed, the geometry, and the two row arenas, checksummed, and the
-//! loader re-derives the embeddings.
+//! the seed, the geometry, and the row arena, checksummed, and the
+//! loader re-derives the embedding.
 //!
 //! ## Format (all integers little-endian)
 //!
 //! ```text
 //! magic   b"EMDS"            4 bytes
-//! version u8 = 1
+//! version u8 = 2
 //! seed    u64                grid-shift seed of the tree embedding
 //! fdims   u32                feature-space dimensionality
 //! bins    u32                histogram arity
 //! rows    u64                sketch rows (== database rows)
 //! tdim    u32                tree-embedding vector length
 //! tree    rows * tdim f64    tree arena, row-major
-//! ndim    u32                normal sketch vector length (2 * fdims)
-//! normal  rows * ndim f64    normal arena, row-major
 //! crc     u32                CRC-32 (IEEE) over everything above
 //! ```
+//!
+//! There is no compatibility reader: a file of any other version is
+//! refused as `InvalidData` and the caller rebuilds it from the
+//! database.
 
 use std::fs;
 use std::io;
@@ -31,7 +33,7 @@ use std::path::Path;
 pub const SIDECAR_MAGIC: [u8; 4] = *b"EMDS";
 
 /// Current sidecar format version.
-pub const SIDECAR_VERSION: u8 = 1;
+pub const SIDECAR_VERSION: u8 = 2;
 
 /// The persisted contents of a sketch sidecar file.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,10 +50,6 @@ pub struct SketchSidecar {
     pub tree_dim: u32,
     /// Tree arena, row-major with stride `tree_dim`.
     pub tree_arena: Vec<f64>,
-    /// Normal sketch vector length (`2 * feature_dims`).
-    pub normal_dim: u32,
-    /// Normal arena, row-major with stride `normal_dim`.
-    pub normal_arena: Vec<f64>,
 }
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), bitwise —
@@ -77,8 +75,7 @@ fn put_f64s(buf: &mut Vec<u8>, xs: &[f64]) {
 
 /// Serializes and writes `sidecar` to `path`.
 pub fn save_sidecar(path: &Path, sidecar: &SketchSidecar) -> io::Result<()> {
-    let mut buf =
-        Vec::with_capacity(64 + 8 * (sidecar.tree_arena.len() + sidecar.normal_arena.len()));
+    let mut buf = Vec::with_capacity(64 + 8 * sidecar.tree_arena.len());
     buf.extend_from_slice(&SIDECAR_MAGIC);
     buf.push(SIDECAR_VERSION);
     buf.extend_from_slice(&sidecar.seed.to_le_bytes());
@@ -87,8 +84,6 @@ pub fn save_sidecar(path: &Path, sidecar: &SketchSidecar) -> io::Result<()> {
     buf.extend_from_slice(&sidecar.rows.to_le_bytes());
     buf.extend_from_slice(&sidecar.tree_dim.to_le_bytes());
     put_f64s(&mut buf, &sidecar.tree_arena);
-    buf.extend_from_slice(&sidecar.normal_dim.to_le_bytes());
-    put_f64s(&mut buf, &sidecar.normal_arena);
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
     fs::write(path, buf)
@@ -186,12 +181,6 @@ pub fn load_sidecar(path: &Path) -> io::Result<SketchSidecar> {
             .checked_mul(tree_dim as usize)
             .ok_or_else(|| corrupt("tree arena overflow"))?,
     )?;
-    let normal_dim = cur.u32()?;
-    let normal_arena = cur.f64s(
-        rows_us
-            .checked_mul(normal_dim as usize)
-            .ok_or_else(|| corrupt("normal arena overflow"))?,
-    )?;
     if cur.pos != body.len() {
         return Err(corrupt("trailing bytes"));
     }
@@ -202,8 +191,6 @@ pub fn load_sidecar(path: &Path) -> io::Result<SketchSidecar> {
         rows,
         tree_dim,
         tree_arena,
-        normal_dim,
-        normal_arena,
     })
 }
 
@@ -219,8 +206,6 @@ mod tests {
             rows: 2,
             tree_dim: 5,
             tree_arena: vec![0.5; 10],
-            normal_dim: 6,
-            normal_arena: vec![0.25; 12],
         }
     }
 

@@ -477,7 +477,7 @@ pub(crate) fn le_u32(bytes: &[u8], at: usize) -> u32 {
 }
 
 /// One-shot CRC-32 (IEEE) of `bytes`.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = Crc32::new();
     crc.update(bytes);
     crc.finish()

@@ -1,223 +1,151 @@
-//! Crash-consistency tests: random workloads against the fault-injecting
-//! VFS, with simulated power loss at arbitrary points.
+//! Crash-consistency tests: random column-file workloads against the
+//! fault-injecting VFS, with simulated power loss at arbitrary points.
 //!
 //! The contract under test (see DESIGN.md, "Failure model and recovery"):
-//! after a crash, reopening the store either succeeds with exactly the
-//! state of the last sync (clean crash), or — when unsynced writes
-//! partially persisted, tearing pages — every affected page is caught by
-//! its checksum and reported as a *typed* [`StorageError`]. The store
-//! never panics and never silently returns bytes a record did not hold.
+//! a column file is written once — [`ColumnWriter::append_rows`]… then
+//! [`ColumnWriter::finish`], which syncs with the page file's crash-safe
+//! ordering. After a crash, reopening either reads back exactly the rows
+//! that were written, bit for bit, or — when the writer never finished,
+//! or unsynced writes partially persisted and tore pages — reports a
+//! *typed* [`StorageError`]. The store never panics and never returns a
+//! row that was not written.
 
 use earthmover_storage::vfs::FaultVfs;
-use earthmover_storage::{BufferPool, PageFile, RecordId, RecordStore, StorageError};
+use earthmover_storage::{ColumnStore, ColumnWriter, PageId, StorageError, PAGE_SIZE};
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::path::Path;
 
-#[derive(Debug, Clone)]
-enum Op {
-    /// Append a record of the given length with a content seed.
-    Append { len: u16, seed: u8 },
-    /// Delete the k-th (mod live count) record.
-    Delete { k: u16 },
-    /// Make everything durable.
-    Sync,
-}
+const DIMS: usize = 4;
+const PATH: &str = "crash.emdc";
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u16..2000, any::<u8>()).prop_map(|(len, seed)| Op::Append { len, seed }),
-        (any::<u16>(),).prop_map(|(k,)| Op::Delete { k }),
-        Just(Op::Sync),
-    ]
-}
-
-fn record_bytes(len: u16, seed: u8) -> Vec<u8> {
-    (0..len).map(|i| seed.wrapping_add(i as u8)).collect()
-}
-
-/// Runs a workload on a fresh fault-backed store and returns
-/// `(vfs, first_page, state_at_last_sync, every_value_each_id_ever_held)`.
-type WorkloadState = (
-    FaultVfs,
-    earthmover_storage::PageId,
-    Vec<(RecordId, Vec<u8>)>,
-    HashMap<RecordId, Vec<Vec<u8>>>,
-);
-
-fn run_workload(ops: &[Op]) -> WorkloadState {
-    let vfs = FaultVfs::new();
-    let path = Path::new("crash.db");
-    let file = PageFile::create_with(&vfs, path).expect("create");
-    let pool = BufferPool::new(file, 3); // tiny pool: constant writebacks
-    let mut store = RecordStore::create(pool).expect("create store");
-    let first = store.first_page();
-    store.sync().expect("initial sync");
-
-    let mut live: Vec<(RecordId, Vec<u8>)> = Vec::new();
-    let mut synced: Vec<(RecordId, Vec<u8>)> = Vec::new();
-    let mut history: HashMap<RecordId, Vec<Vec<u8>>> = HashMap::new();
-
-    for op in ops {
-        match op {
-            Op::Append { len, seed } => {
-                let data = record_bytes(*len, *seed);
-                let id = store.append(&data).expect("append");
-                history.entry(id).or_default().push(data.clone());
-                live.push((id, data));
-            }
-            Op::Delete { k } => {
-                if live.is_empty() {
-                    continue;
-                }
-                let idx = *k as usize % live.len();
-                let (id, _) = live.remove(idx);
-                store.delete(id).expect("delete");
-            }
-            Op::Sync => {
-                store.sync().expect("sync");
-                synced = live.clone();
-            }
-        }
+/// `n` distinct mass-normalized rows; `seed` varies the content so two
+/// workloads never share bytes by accident.
+fn rows(n: usize, seed: u8) -> Vec<f64> {
+    let mut out = Vec::with_capacity(n * DIMS);
+    for i in 0..n {
+        let a = ((i + seed as usize) % 251) as f64 + 1.0;
+        let total = a + 3.0;
+        out.extend_from_slice(&[a / total, 1.0 / total, 1.0 / total, 1.0 / total]);
     }
-    (vfs, first, synced, history)
+    out
 }
 
-/// Reopens the store after a crash. Any typed error is an acceptable
-/// outcome; a panic is not (it would abort the test process).
-fn reopen_and_scan(
+/// Appends `batches` (row counts) to a fresh column file on `vfs` and
+/// returns the writer, still unfinished, with every row handed to it.
+fn write_batches(
     vfs: &FaultVfs,
-    first: earthmover_storage::PageId,
-) -> Result<Vec<(RecordId, Vec<u8>)>, StorageError> {
-    let (file, _report) = PageFile::open_with_recovery_with(vfs, Path::new("crash.db"))?;
-    let pool = BufferPool::new(file, 3);
-    let store = RecordStore::open(pool, first)?;
-    store.scan()
+    batches: &[usize],
+    rows_per_block: usize,
+    seed: u8,
+) -> (ColumnWriter, Vec<f64>) {
+    let mut writer =
+        ColumnWriter::create_with(vfs, Path::new(PATH), DIMS, rows_per_block).expect("create");
+    let mut written = Vec::new();
+    for (i, n) in batches.iter().enumerate() {
+        let batch = rows(*n, seed.wrapping_add(i as u8));
+        writer.append_rows(&batch).expect("append");
+        written.extend_from_slice(&batch);
+    }
+    (writer, written)
+}
+
+/// Reopens the column file after a crash and decodes every block. Any
+/// typed error is an acceptable outcome; a panic is not (it would abort
+/// the test process).
+fn reopen_and_read(vfs: &FaultVfs) -> Result<Vec<f64>, StorageError> {
+    let mut store = ColumnStore::open_with(vfs, Path::new(PATH))?;
+    let mut all = Vec::new();
+    for b in 0..store.meta().num_blocks() {
+        all.extend(store.read_block(b)?);
+    }
+    Ok(all)
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A clean crash (nothing unsynced persists) must restore exactly
-    /// the state of the last sync.
+    /// A clean crash after `finish()` returned (nothing unsynced
+    /// persists) must read back exactly the rows written, bit-identical.
     #[test]
-    fn clean_crash_restores_last_sync(ops in prop::collection::vec(arb_op(), 1..40)) {
-        let (vfs, first, synced, _) = run_workload(&ops);
+    fn clean_crash_after_finish_reads_back_every_row(
+        batches in prop::collection::vec(1usize..300, 1..8),
+        rows_per_block in 1usize..400,
+        seed in any::<u8>(),
+    ) {
+        let vfs = FaultVfs::new();
+        let (writer, written) = write_batches(&vfs, &batches, rows_per_block, seed);
+        drop(writer.finish().expect("finish"));
         vfs.crash();
-        let scanned = reopen_and_scan(&vfs, first)
-            .expect("clean crash must reopen cleanly");
-        prop_assert_eq!(scanned, synced);
+        let read = reopen_and_read(&vfs).expect("a finished file must reopen cleanly");
+        prop_assert_eq!(bits(&read), bits(&written));
     }
 
-    /// A crash that persists an arbitrary prefix of the unsynced writes
-    /// — tearing the next one at a sector boundary — must either yield a
-    /// typed error or a scan in which every record holds bytes it
-    /// legitimately held at some point. Never a panic, never garbage.
+    /// A crash before `finish()` that persists an arbitrary prefix of
+    /// the unsynced writes — tearing the next one at a sector boundary —
+    /// must either yield a typed error or exactly the written rows.
+    /// Never a panic, never a row that was not written.
     #[test]
-    fn partial_crash_is_typed_error_or_valid_state(
-        ops in prop::collection::vec(arb_op(), 1..40),
+    fn crash_before_finish_is_typed_error_or_the_written_rows(
+        batches in prop::collection::vec(1usize..300, 1..8),
+        rows_per_block in 1usize..400,
+        seed in any::<u8>(),
         persist in 0usize..40,
         torn in 0usize..8192,
     ) {
-        let (vfs, first, synced, history) = run_workload(&ops);
+        let vfs = FaultVfs::new();
+        let (_unfinished, written) = write_batches(&vfs, &batches, rows_per_block, seed);
         vfs.crash_with_partial(persist, torn);
-        match reopen_and_scan(&vfs, first) {
-            Err(_typed) => {} // corruption detected and reported: acceptable
-            Ok(scanned) => {
-                for (id, data) in &scanned {
-                    let held = history.get(id).map(|v| v.contains(data)).unwrap_or(false);
-                    prop_assert!(
-                        held,
-                        "record {:?} returned bytes it never held ({} bytes)",
-                        id,
-                        data.len()
-                    );
-                }
-                // With zero unsynced writes persisted, the durable state
-                // is exactly the last sync.
-                if persist == 0 && torn < 512 {
-                    prop_assert_eq!(scanned, synced);
-                }
-            }
+        match reopen_and_read(&vfs) {
+            Err(_typed) => {} // unfinished file detected and reported: acceptable
+            Ok(read) => prop_assert_eq!(bits(&read), bits(&written)),
         }
     }
 }
 
-/// Bit rot in a synced data page is caught by the v2 page checksum and
-/// reported with the corrupt page's id (acceptance test from the issue).
+/// Bit rot in a synced block page is caught by the v2 page checksum and
+/// reported with the corrupt page's id; other blocks stay readable.
 #[test]
 fn flipped_bit_reports_corrupt_page_id() {
     let vfs = FaultVfs::new();
-    let path = Path::new("crash.db");
-    let file = PageFile::create_with(&vfs, path).unwrap();
-    let pool = BufferPool::new(file, 4);
-    let mut store = RecordStore::create(pool).unwrap();
-    let ids: Vec<RecordId> = (0..200u32)
-        .map(|i| store.append(&i.to_le_bytes()).unwrap())
-        .collect();
-    let first = store.first_page();
-    store.sync().unwrap();
-    drop(store);
+    // 200 rows/block * 32 B = 6400 B = 2 pages per block: block 0 is
+    // pages 2-3, block 1 is pages 4-5.
+    let (writer, _) = write_batches(&vfs, &[450], 200, 0);
+    drop(writer.finish().unwrap());
 
-    // Flip one bit inside data page 1's content area.
-    let phys = 4096 + 8;
-    assert!(vfs.flip_bit(path, phys + 2048, 5));
+    // Flip one bit inside page 5's content area (v2 physical pages carry
+    // an 8-byte trailer).
+    assert!(vfs.flip_bit(PATH, 5 * (PAGE_SIZE + 8) + 2048, 5));
 
-    let (mut file, report) = PageFile::open_with_recovery_with(&vfs, path).unwrap();
-    assert_eq!(report.corrupt_pages, vec![earthmover_storage::PageId(1)]);
-
-    // Reading the page directly yields the typed checksum error naming it.
-    let mut buf = [0u8; 4096];
-    match file.read_page(earthmover_storage::PageId(1), &mut buf) {
-        Err(StorageError::PageChecksum(p)) => assert_eq!(p.0, 1),
-        other => panic!("expected PageChecksum, got {other:?}"),
+    let mut store = ColumnStore::open_with(&vfs, Path::new(PATH)).unwrap();
+    match store.read_block(1) {
+        Err(StorageError::PageChecksum(p)) => assert_eq!(p, PageId(5)),
+        other => panic!("expected PageChecksum(5), got {other:?}"),
     }
-
-    // The store surfaces it as a typed error too (no panic), since the
-    // first page of the chain is the corrupt one.
-    let pool = BufferPool::new(file, 4);
-    match RecordStore::open(pool, first) {
-        Err(StorageError::PageChecksum(p)) => assert_eq!(p.0, 1),
-        Err(other) => panic!("expected PageChecksum, got {other}"),
-        Ok(store) => {
-            // If open succeeded (first page intact in other layouts),
-            // scanning must hit the corruption.
-            match store.scan() {
-                Err(StorageError::PageChecksum(_)) => {}
-                other => panic!("expected PageChecksum from scan, got {other:?}"),
-            }
-        }
-    }
-    let _ = ids;
+    assert!(store.read_block(0).is_ok());
+    assert!(store.read_block(2).is_ok());
 }
 
-/// ENOSPC mid-append surfaces as a typed I/O error and the store remains
-/// usable once space is available again.
+/// ENOSPC mid-`append_rows` surfaces as a typed I/O error, and the
+/// half-written file is refused on reopen.
 #[test]
-fn enospc_mid_append_is_typed_and_recoverable() {
+fn enospc_mid_append_is_typed() {
     let vfs = FaultVfs::new();
-    let path = Path::new("crash.db");
-    let file = PageFile::create_with(&vfs, path).unwrap();
-    let pool = BufferPool::new(file, 2);
-    let mut store = RecordStore::create(pool).unwrap();
-    store.sync().unwrap();
+    let mut writer = ColumnWriter::create_with(&vfs, Path::new(PATH), DIMS, 50).unwrap();
+    writer.append_rows(&rows(120, 0)).unwrap();
 
-    vfs.set_write_budget(Some(0));
-    // Keep appending until the page chain must grow and hit the disk.
-    let mut saw_error = false;
-    for i in 0..100u32 {
-        if let Err(e) = store.append(&[7u8; 1000]) {
-            assert!(matches!(e, StorageError::Io(_)), "unexpected error {e}");
-            saw_error = true;
-            let _ = i;
-            break;
-        }
+    vfs.set_write_budget(Some(1));
+    // 400 more rows = 8 more block writes: the budget runs out mid-call.
+    match writer.append_rows(&rows(400, 1)) {
+        Err(StorageError::Io(_)) => {}
+        other => panic!("expected a typed Io error, got {other:?}"),
     }
-    assert!(saw_error, "write budget of zero must surface ENOSPC");
-
     vfs.set_write_budget(None);
-    let id = store.append(b"after recovery").unwrap();
-    assert_eq!(store.get(id).unwrap(), b"after recovery");
+    drop(writer);
+    assert!(reopen_and_read(&vfs).is_err());
 }
 
 /// Short reads and writes at the VFS layer are invisible above it.
@@ -226,21 +154,8 @@ fn short_io_does_not_affect_store_correctness() {
     let vfs = FaultVfs::new();
     vfs.set_short_writes(Some(100));
     vfs.set_short_reads(Some(64));
-    let path = Path::new("crash.db");
-    let file = PageFile::create_with(&vfs, path).unwrap();
-    let pool = BufferPool::new(file, 2);
-    let mut store = RecordStore::create(pool).unwrap();
-    let ids: Vec<RecordId> = (0..50u32)
-        .map(|i| store.append(&record_bytes(500, i as u8)).unwrap())
-        .collect();
-    store.sync().unwrap();
-    let first = store.first_page();
-    drop(store);
-
-    let file = PageFile::open_with(&vfs, path).unwrap();
-    let pool = BufferPool::new(file, 2);
-    let store = RecordStore::open(pool, first).unwrap();
-    for (i, id) in ids.iter().enumerate() {
-        assert_eq!(store.get(*id).unwrap(), record_bytes(500, i as u8));
-    }
+    let (writer, written) = write_batches(&vfs, &[130, 7, 263], 90, 3);
+    drop(writer.finish().unwrap());
+    let read = reopen_and_read(&vfs).unwrap();
+    assert_eq!(bits(&read), bits(&written));
 }

@@ -264,7 +264,8 @@ pub fn solve_transportation_general_with<C: CostAccess>(
     })
 }
 
-/// Mutable solver state: the flow matrix and the current basis tree.
+/// Mutable solver state: the flow matrix, the current basis tree, and
+/// the scratch every pivot reuses (allocated once per solve).
 struct State<'a, C: CostAccess> {
     n: usize,
     m: usize,
@@ -275,6 +276,23 @@ struct State<'a, C: CostAccess> {
     basis: Vec<(usize, usize)>,
     /// Dense basic-cell indicator, `n × m`.
     is_basic: Vec<bool>,
+    /// Basis-tree adjacency, rebuilt by [`State::index_basis`]. Nodes are
+    /// rows `0..n` then columns `n..n + m`; node `k`'s neighbours (column
+    /// indices for a row, row indices for a column, in basis order) are
+    /// `adj[adj_start[k]..adj_start[k + 1]]`.
+    adj_start: Vec<usize>,
+    adj: Vec<usize>,
+    /// Next free slot per node while `adj` is being filled.
+    adj_fill: Vec<usize>,
+    /// Row and column potentials of the current basis.
+    u: Vec<f64>,
+    v: Vec<f64>,
+    /// Breadth-first queue over tree nodes (read by index, never popped).
+    queue: Vec<usize>,
+    /// Predecessor of each node in the cycle search; `usize::MAX` = unseen.
+    parent: Vec<usize>,
+    /// Basic cells of the last cycle found, from column `ej` to row `ei`.
+    path: Vec<(usize, usize)>,
 }
 
 impl<'a, C: CostAccess> State<'a, C> {
@@ -286,6 +304,14 @@ impl<'a, C: CostAccess> State<'a, C> {
             flow: vec![0.0; n * m],
             basis: Vec::with_capacity(n + m - 1),
             is_basic: vec![false; n * m],
+            adj_start: vec![0; n + m + 1],
+            adj: vec![0; 2 * (n + m - 1)],
+            adj_fill: vec![0; n + m],
+            u: vec![0.0; n],
+            v: vec![0.0; m],
+            queue: Vec::with_capacity(n + m),
+            parent: vec![usize::MAX; n + m],
+            path: Vec::with_capacity(n + m),
         }
     }
 
@@ -418,112 +444,132 @@ impl<'a, C: CostAccess> State<'a, C> {
         debug_assert_eq!(self.basis.len(), n + m - 1, "basis must span the tree");
     }
 
-    /// Computes node potentials `u` (rows) and `v` (columns) by breadth-first
-    /// traversal of the basis tree, anchored at `u[0] = 0`.
-    fn potentials(&self) -> Result<(Vec<f64>, Vec<f64>), TransportError> {
-        let (n, m) = (self.n, self.m);
-        let mut row_adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut col_adj: Vec<Vec<usize>> = vec![Vec::new(); m];
+    /// Indexes the basis tree by node (a counting sort of the basic cells),
+    /// so the two traversals of a pivot share one adjacency structure
+    /// instead of each building `n + m` neighbour lists on the heap.
+    fn index_basis(&mut self) {
+        let n = self.n;
+        // Degrees, shifted one slot up so the running sum turns them
+        // into each node's first slot.
+        self.adj_start.fill(0);
         for &(i, j) in &self.basis {
-            row_adj[i].push(j);
-            col_adj[j].push(i);
+            for node in [i, n + j] {
+                self.adj_start[node + 1] += 1;
+            }
         }
-        let mut u = vec![f64::NAN; n];
-        let mut v = vec![f64::NAN; m];
+        let mut slots = 0;
+        for start in &mut self.adj_start {
+            slots += *start;
+            *start = slots;
+        }
+        self.adj_fill.copy_from_slice(&self.adj_start[..n + self.m]);
+        for &(i, j) in &self.basis {
+            for (node, neighbour) in [(i, j), (n + j, i)] {
+                self.adj[self.adj_fill[node]] = neighbour;
+                self.adj_fill[node] += 1;
+            }
+        }
+    }
+
+    /// Computes node potentials `u` (rows) and `v` (columns) by breadth-first
+    /// traversal of the indexed basis tree, anchored at `u[0] = 0`.
+    fn potentials(&mut self) -> Result<(), TransportError> {
+        let State {
+            n,
+            m,
+            cost,
+            adj_start,
+            adj,
+            u,
+            v,
+            queue,
+            ..
+        } = self;
+        let (n, m) = (*n, *m);
+        u.fill(f64::NAN);
+        v.fill(f64::NAN);
         u[0] = 0.0;
-        // Queue of nodes: rows are 0..n, columns are n..n+m.
-        let mut queue = std::collections::VecDeque::with_capacity(n + m);
-        queue.push_back(0usize);
-        let mut visited = 1usize;
-        while let Some(node) = queue.pop_front() {
-            if node < n {
-                let i = node;
-                for &j in &row_adj[i] {
+        queue.clear();
+        queue.push(0);
+        let mut head = 0;
+        while let Some(&node) = queue.get(head) {
+            head += 1;
+            for &other in &adj[adj_start[node]..adj_start[node + 1]] {
+                if node < n {
+                    let (i, j) = (node, other);
                     if v[j].is_nan() {
-                        v[j] = self.cost.at(i, j) - u[i];
-                        visited += 1;
-                        queue.push_back(n + j);
+                        v[j] = cost.at(i, j) - u[i];
+                        queue.push(n + j);
                     }
-                }
-            } else {
-                let j = node - n;
-                for &i in &col_adj[j] {
+                } else {
+                    let (i, j) = (other, node - n);
                     if u[i].is_nan() {
-                        u[i] = self.cost.at(i, j) - v[j];
-                        visited += 1;
-                        queue.push_back(i);
+                        u[i] = cost.at(i, j) - v[j];
+                        queue.push(i);
                     }
                 }
             }
         }
-        if visited != n + m {
+        // Every node reached was queued exactly once.
+        if queue.len() != n + m {
             return Err(TransportError::Internal("basis tree is disconnected"));
         }
-        Ok((u, v))
+        Ok(())
     }
 
     /// Finds the unique alternating cycle that the non-basic cell
-    /// `(enter_i, enter_j)` closes with the basis tree. Returns the cells of
-    /// the tree path from column node `enter_j` back to row node `enter_i`;
-    /// together with the entering cell they form the stepping-stone cycle.
-    fn find_cycle_path(
-        &self,
-        enter_i: usize,
-        enter_j: usize,
-    ) -> Result<Vec<(usize, usize)>, TransportError> {
-        let (n, m) = (self.n, self.m);
-        let mut row_adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut col_adj: Vec<Vec<usize>> = vec![Vec::new(); m];
-        for &(i, j) in &self.basis {
-            row_adj[i].push(j);
-            col_adj[j].push(i);
-        }
+    /// `(enter_i, enter_j)` closes with the indexed basis tree. Leaves in
+    /// `path` the cells of the tree path from column node `enter_j` back to
+    /// row node `enter_i`; together with the entering cell they form the
+    /// stepping-stone cycle.
+    fn find_cycle_path(&mut self, enter_i: usize, enter_j: usize) -> Result<(), TransportError> {
+        let State {
+            n,
+            adj_start,
+            adj,
+            queue,
+            parent,
+            path,
+            ..
+        } = self;
+        let n = *n;
         // BFS from column node enter_j to row node enter_i over basis edges.
-        // parent[node] = (previous node, basic cell used).
-        let total = n + m;
-        let start = n + enter_j;
-        let goal = enter_i;
-        let mut parent: Vec<Option<(usize, (usize, usize))>> = vec![None; total];
-        let mut seen = vec![false; total];
-        seen[start] = true;
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(start);
-        while let Some(node) = queue.pop_front() {
+        let (start, goal) = (n + enter_j, enter_i);
+        parent.fill(usize::MAX);
+        parent[start] = start;
+        queue.clear();
+        queue.push(start);
+        let mut head = 0;
+        while let Some(&node) = queue.get(head) {
+            head += 1;
             if node == goal {
                 break;
             }
-            if node < n {
-                let i = node;
-                for &j in &row_adj[i] {
-                    let next = n + j;
-                    if !seen[next] {
-                        seen[next] = true;
-                        parent[next] = Some((node, (i, j)));
-                        queue.push_back(next);
-                    }
-                }
-            } else {
-                let j = node - n;
-                for &i in &col_adj[j] {
-                    if !seen[i] {
-                        seen[i] = true;
-                        parent[i] = Some((node, (i, j)));
-                        queue.push_back(i);
-                    }
+            for &other in &adj[adj_start[node]..adj_start[node + 1]] {
+                let next = if node < n { n + other } else { other };
+                if parent[next] == usize::MAX {
+                    parent[next] = node;
+                    queue.push(next);
                 }
             }
         }
-        if !seen[goal] {
+        if parent[goal] == usize::MAX {
             return Err(TransportError::Internal("no cycle path found"));
         }
-        let mut path = Vec::new();
+        // Tree edges join a row node to a column node, so each step back
+        // names its basic cell.
+        path.clear();
         let mut node = goal;
         while node != start {
-            let (prev, cell) = parent[node].ok_or(TransportError::Internal("broken parent"))?;
-            path.push(cell);
+            let prev = parent[node];
+            path.push(if node < n {
+                (node, prev - n)
+            } else {
+                (prev, node - n)
+            });
             node = prev;
         }
-        Ok(path)
+        Ok(())
     }
 
     /// Runs MODI iterations until no reduced cost is negative.
@@ -536,7 +582,8 @@ impl<'a, C: CostAccess> State<'a, C> {
         let max_pivots = options.max_pivots.unwrap_or(20 * (n * m + n + m) + 1000);
         let mut pivots = 0usize;
         loop {
-            let (u, v) = self.potentials()?;
+            self.index_basis();
+            self.potentials()?;
             // Entering cell. LargestReduction: most negative reduced cost,
             // ties broken by lowest (i, j) for determinism. Bland: first
             // cell in (i, j) order with any negative reduced cost —
@@ -546,7 +593,7 @@ impl<'a, C: CostAccess> State<'a, C> {
             'scan: for i in 0..n {
                 for j in 0..m {
                     if !self.is_basic[i * m + j] {
-                        let rc = self.cost.at(i, j) - u[i] - v[j];
+                        let rc = self.cost.at(i, j) - self.u[i] - self.v[j];
                         if rc < best {
                             best = rc;
                             enter = Some((i, j));
@@ -568,10 +615,10 @@ impl<'a, C: CostAccess> State<'a, C> {
             // signs along the tree path from column ej back to row ei. The
             // path starts with an edge incident to column ej, which must
             // carry a minus sign (it gives up mass to the entering cell).
-            let path = self.find_cycle_path(ei, ej)?;
+            self.find_cycle_path(ei, ej)?;
             let mut theta = f64::INFINITY;
             let mut leave: Option<(usize, usize)> = None;
-            for (k, &(i, j)) in path.iter().enumerate() {
+            for (k, &(i, j)) in self.path.iter().enumerate() {
                 if k % 2 == 0 {
                     // minus position
                     let f = self.flow[i * m + j];
@@ -587,7 +634,7 @@ impl<'a, C: CostAccess> State<'a, C> {
 
             // Apply the flow change around the cycle.
             self.flow[ei * m + ej] += theta;
-            for (k, &(i, j)) in path.iter().enumerate() {
+            for (k, &(i, j)) in self.path.iter().enumerate() {
                 if k % 2 == 0 {
                     self.flow[i * m + j] -= theta;
                 } else {

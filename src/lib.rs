@@ -43,8 +43,6 @@
 //! assert!(result.stats.selectivity() < 1.0);
 //! ```
 
-pub mod disk;
-
 pub use earthmover_core as core;
 pub use earthmover_imaging as imaging;
 pub use earthmover_lp as lp;
