@@ -22,8 +22,9 @@
 //! The equality is *exact*, not approximate: the prepared paths perform
 //! the same floating-point operation sequence per candidate term as the
 //! scalar paths, so filter selectivity and k-NN result sets cannot shift
-//! between the scalar and batched executors. A property test in
-//! `tests/bound_matrix.rs` enforces this to ≤ 1 ulp for every measure.
+//! between the scalar and batched executors. `tests/bound_matrix.rs`
+//! compares the bit patterns for every measure, on one kernel tile plus
+//! remainder under proptest and across many tiles on a fixed corpus.
 //!
 //! Candidate rows come from the database arena and therefore carry mass
 //! exactly 1; kernels may (and do) exploit that invariant.

@@ -21,7 +21,7 @@
 //! evaluation equal to whole-arena evaluation row for row.
 
 use crate::histogram::Histogram;
-use earthmover_storage::{BlockLease, BlockPool, BlockPoolStats, ColumnMeta, StorageError};
+use earthmover_storage::{BlockLease, BlockPool, BlockPoolStats, ColumnMeta, PageId, StorageError};
 use std::sync::Arc;
 
 /// Uniform, block-granular access to the rows of a histogram database.
@@ -130,7 +130,7 @@ impl BlockProvider for ResidentBlocks {
 
     fn block(&self, block: usize) -> Result<BlockData<'_>, StorageError> {
         if block > 0 || self.data.is_empty() {
-            return Err(StorageError::BadRecord);
+            return Err(StorageError::PageOutOfBounds(PageId(block as u32)));
         }
         Ok(BlockData::Resident(&self.data))
     }

@@ -140,7 +140,7 @@ pub struct RetrievalInfo {
     /// the `1 / (1 + epsilon)` distance-ratio guarantee for the relaxed
     /// tier, and the `1 / distortion` sketch guarantee for sketch-only.
     /// Measured recall on a concrete corpus is typically far higher —
-    /// see the `recall_curve` bench.
+    /// `tests/recall_tiers.rs` holds the two side by side.
     pub recall: f64,
 }
 
@@ -211,9 +211,9 @@ impl SketchTier {
     }
 
     /// The guaranteed-recall figure reported for sketch-only answers:
-    /// the inverse of the certified distortion. A worst-case bound — the
-    /// measured recall of the `recall_curve` bench is typically much
-    /// higher.
+    /// the inverse of the certified distortion. A worst-case bound —
+    /// measured recall is typically much higher (`recall_at_k` of the
+    /// `wire_sketch_d16` workload, `e2ebench/BENCHMARK.md`).
     pub fn recall_estimate(&self) -> f64 {
         1.0 / self.distortion()
     }

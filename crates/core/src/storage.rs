@@ -19,7 +19,9 @@
 //! store of `earthmover-storage` (DESIGN.md §14): [`save_paged`] spills
 //! a resident database into a page-checksummed column file, and
 //! [`open_paged`] mounts such a file behind a bounded buffer pool so
-//! corpora larger than RAM can be queried.
+//! corpora larger than RAM can be queried. [`open_paged_or_convert`] is
+//! the daemons' entry point: it keeps a `<db>.emdc` sidecar next to a
+//! row file and rebuilds it whenever it no longer matches.
 
 use crate::db::HistogramDb;
 use crate::provider::PagedBlocks;
@@ -29,8 +31,8 @@ pub use earthmover_storage::{ColumnWriter, StdVfs, Vfs};
 use earthmover_storage::{rows_per_block_for, BlockPool, ColumnStore};
 use std::fmt;
 use std::fs;
-use std::io;
-use std::path::Path;
+use std::io::{self, Read};
+use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"EMDB";
 const VERSION: u32 = 1;
@@ -103,8 +105,8 @@ impl From<earthmover_storage::StorageError> for StorageError {
 
 /// Little-endian reads used by the decoder. Total functions: bytes past
 /// the end of the slice read as zero, so there is no panic path. Every
-/// caller checks the buffer length before decoding (the `< 24` and
-/// `expected_len` guards), which makes zero-extension unreachable; the
+/// caller checks the buffer length before decoding (the header-length
+/// and `expected_len` guards), which makes zero-extension unreachable; the
 /// checksum would reject such input anyway.
 fn le_bytes<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
     let mut out = [0u8; N];
@@ -126,9 +128,33 @@ fn le_f64(bytes: &[u8], at: usize) -> f64 {
     f64::from_le_bytes(le_bytes(bytes, at))
 }
 
+/// Bytes before the payload: magic, version, dims, count.
+const HEADER_LEN: usize = 20;
+
+/// Validates the `EMDB` header at the start of `bytes` and returns
+/// `(dims, count)`.
+fn parse_header(bytes: &[u8]) -> Result<(usize, usize), StorageError> {
+    if bytes.len() < HEADER_LEN {
+        return Err(StorageError::Truncated);
+    }
+    if !bytes.starts_with(MAGIC) {
+        return Err(StorageError::BadMagic);
+    }
+    let version = le_u32(bytes, 4);
+    if version != VERSION {
+        return Err(StorageError::UnsupportedVersion(version));
+    }
+    let dims = le_u32(bytes, 8) as usize;
+    let count = le_u64(bytes, 12) as usize;
+    if dims == 0 {
+        return Err(StorageError::InvalidData("zero dimensionality".into()));
+    }
+    Ok((dims, count))
+}
+
 /// Serializes a database into the `EMDB` byte format.
 pub fn to_bytes(db: &HistogramDb) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(20 + db.len() * db.dims() * 8 + 4);
+    let mut buf = Vec::with_capacity(HEADER_LEN + db.len() * db.dims() * 8 + 4);
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&(db.dims() as u32).to_le_bytes());
@@ -144,26 +170,15 @@ pub fn to_bytes(db: &HistogramDb) -> Vec<u8> {
 /// Deserializes a database from the `EMDB` byte format, verifying the
 /// checksum and re-validating every histogram.
 pub fn from_bytes(bytes: &[u8]) -> Result<HistogramDb, StorageError> {
-    if bytes.len() < 24 {
+    if bytes.len() < HEADER_LEN + 4 {
         return Err(StorageError::Truncated);
     }
-    if &bytes[0..4] != MAGIC {
-        return Err(StorageError::BadMagic);
-    }
-    let version = le_u32(bytes, 4);
-    if version != VERSION {
-        return Err(StorageError::UnsupportedVersion(version));
-    }
-    let dims = le_u32(bytes, 8) as usize;
-    let count = le_u64(bytes, 12) as usize;
-    if dims == 0 {
-        return Err(StorageError::InvalidData("zero dimensionality".into()));
-    }
+    let (dims, count) = parse_header(bytes)?;
     let payload_len = count
         .checked_mul(dims)
         .and_then(|c| c.checked_mul(8))
         .ok_or_else(|| StorageError::InvalidData("size overflow".into()))?;
-    let expected_len = 20 + payload_len + 4;
+    let expected_len = HEADER_LEN + payload_len + 4;
     if bytes.len() != expected_len {
         return Err(StorageError::Truncated);
     }
@@ -179,7 +194,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<HistogramDb, StorageError> {
     // Decode the payload straight into the columnar arena, validating
     // each record's bins and mass in place (no per-record allocation).
     let mut arena = Vec::with_capacity(count * dims);
-    let mut offset = 20;
+    let mut offset = HEADER_LEN;
     for _ in 0..count * dims {
         arena.push(le_f64(bytes, offset));
         offset += 8;
@@ -280,6 +295,73 @@ pub fn open_paged_with(
     let capacity = (max_resident_bytes / block_bytes.max(1)).max(1);
     let pool = BlockPool::new(store, capacity);
     Ok(HistogramDb::from_paged(PagedBlocks::new(pool)))
+}
+
+/// `path` with `suffix` appended to its file name (`a.emdb` → `a.emdb.emdc`).
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(suffix);
+    PathBuf::from(name)
+}
+
+/// Mounts `db_path` paged, whichever format it is in — the one policy
+/// behind `emdd --max-resident-mb` and `emdtool store-stats`.
+///
+/// A column file is opened as it is. A row-major `.emdb` is served from
+/// its `<db_path>.emdc` sidecar, which is trusted only while it opens
+/// cleanly and its dims and row count equal the `.emdb` header's (the
+/// header alone is read, not the rows; a regenerated database of the
+/// same shape is not detected, and damage behind an intact header and
+/// meta page surfaces at query time, as with [`open_paged`]). A missing,
+/// stale or unopenable sidecar is reported through `log` and rebuilt
+/// from the row file via a temporary file and a rename, so a crash
+/// mid-conversion never leaves a half-written sidecar under the final
+/// name.
+///
+/// Returns the database and the path of the column file it reads.
+pub fn open_paged_or_convert(
+    db_path: impl AsRef<Path>,
+    max_resident_bytes: usize,
+    log: &mut dyn FnMut(&str),
+) -> Result<(HistogramDb, PathBuf), StorageError> {
+    let db_path = db_path.as_ref();
+    let mut header = Vec::with_capacity(HEADER_LEN);
+    fs::File::open(db_path)?
+        .take(HEADER_LEN as u64)
+        .read_to_end(&mut header)?;
+    let (dims, rows) = match parse_header(&header) {
+        Ok(shape) => shape,
+        Err(StorageError::BadMagic) => {
+            let db = open_paged(db_path, max_resident_bytes)?;
+            return Ok((db, db_path.to_path_buf()));
+        }
+        Err(e) => return Err(e),
+    };
+
+    let sidecar = with_suffix(db_path, ".emdc");
+    if sidecar.exists() {
+        match open_paged(&sidecar, max_resident_bytes) {
+            Ok(db) if db.dims() == dims && db.len() == rows => return Ok((db, sidecar)),
+            Ok(db) => log(&format!(
+                "{} is stale ({} x {} bins, {} holds {rows} x {dims}), rebuilding",
+                sidecar.display(),
+                db.len(),
+                db.dims(),
+                db_path.display()
+            )),
+            Err(e) => log(&format!("{}: {e}; rebuilding", sidecar.display())),
+        }
+    }
+    let resident = load(db_path)?;
+    let tmp = with_suffix(&sidecar, ".tmp");
+    save_paged(&resident, &tmp)?;
+    fs::rename(&tmp, &sidecar)?;
+    log(&format!(
+        "converted {} -> {}",
+        db_path.display(),
+        sidecar.display()
+    ));
+    Ok((open_paged(&sidecar, max_resident_bytes)?, sidecar))
 }
 
 #[cfg(test)]

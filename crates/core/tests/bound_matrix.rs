@@ -51,25 +51,60 @@ fn random_histogram(rng: &mut StdRng, n: usize) -> Histogram {
 /// Slack for accumulated floating-point error in the LP solve.
 const EPS: f64 = 1e-9;
 
-/// True when `a` and `b` are equal or adjacent representable doubles.
-fn within_one_ulp(a: f64, b: f64) -> bool {
-    if a == b {
-        return true;
+/// For every [`DistanceMeasure`] implementation, `prepare(q)` must
+/// reproduce `distance(q, h)` bit for bit on both the per-row `eval` and
+/// the blocked `eval_block` entry points: the kernels run the scalar
+/// path's operation sequence, so swapping executors can never move a
+/// candidate across a pruning threshold.
+fn check_prepared_kernels(grid: &BinGrid, seed: u64, rows: usize) -> Result<(), String> {
+    let cost = grid.cost_matrix();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut db = HistogramDb::new(grid.num_bins());
+    for _ in 0..rows {
+        db.push(random_histogram(&mut rng, grid.num_bins()));
     }
-    if !a.is_finite() || !b.is_finite() {
-        return false;
-    }
-    // Map the bit patterns onto a monotonic integer line so adjacent
-    // floats differ by exactly 1 (the -0.0/+0.0 pair collapses to 0).
-    fn ordered(x: f64) -> i64 {
-        let bits = x.to_bits() as i64;
-        if bits < 0 {
-            i64::MIN - bits
-        } else {
-            bits
+    let q = random_histogram(&mut rng, grid.num_bins());
+
+    let measures: [(&str, Box<dyn DistanceMeasure>); 9] = [
+        ("LbAvg", Box::new(LbAvg::new(grid.centroids().to_vec()))),
+        ("LbManhattan", Box::new(LbManhattan::new(&cost))),
+        ("LbMax", Box::new(LbMax::new(&cost))),
+        ("LbEuclidean", Box::new(LbEuclidean::new(&cost))),
+        (
+            "LbIm plain",
+            Box::new(LbIm::with_options(&cost, false, false)),
+        ),
+        (
+            "LbIm refined",
+            Box::new(LbIm::with_options(&cost, true, false)),
+        ),
+        ("LbIm symmetric", Box::new(LbIm::new(&cost))),
+        ("QuadraticForm", Box::new(QuadraticForm::from_cost(&cost))),
+        ("ExactEmd", Box::new(ExactEmd::new(cost.clone()))),
+    ];
+    for (name, m) in &measures {
+        let kernel = m.prepare(&q);
+        let mut block = vec![0.0; db.len()];
+        kernel.eval_block(db.arena(), db.dims(), &mut block);
+        for ((id, h), blocked) in db.iter().zip(block) {
+            let want = m.distance(&q, &h.to_histogram());
+            for (entry, got) in [("eval", kernel.eval(h.bins())), ("eval_block", blocked)] {
+                if got.to_bits() != want.to_bits() {
+                    return Err(format!(
+                        "{name}: {entry}(row {id}) = {got:e} vs distance = {want:e}"
+                    ));
+                }
+            }
         }
     }
-    ordered(a).abs_diff(ordered(b)) <= 1
+    Ok(())
+}
+
+/// The same contract where a block scan crosses many tiles: 307 rows at
+/// 64 bins are nineteen 16-row tiles plus a 3-row remainder.
+#[test]
+fn prepared_kernels_match_scalar_distances_across_tiles() {
+    check_prepared_kernels(&BinGrid::new(vec![4, 4, 4]), 2006, 307).unwrap();
 }
 
 proptest! {
@@ -157,58 +192,12 @@ proptest! {
         }
     }
 
-    /// Query-compiled kernels *are* the scalar path: for every
-    /// [`DistanceMeasure`] implementation, `prepare(q)` must reproduce
-    /// `distance(q, h)` to within one ulp on both the per-row `eval` and
-    /// the blocked `eval_block` entry points. (The Lp bounds, LB_Avg and
-    /// LB_IM are in fact bit-identical; one ulp is the contract.)
+    /// Query-compiled kernels *are* the scalar path, on 19 rows: one
+    /// full 16-row kernel tile *and* its scalar remainder loop.
     #[test]
     fn prepared_kernels_match_scalar_distances(seed in any::<u64>(), shape in 0usize..3) {
         let axes = [vec![4, 2, 2], vec![4, 4, 2], vec![3, 3, 3]][shape].clone();
-        let grid = BinGrid::new(axes);
-        let cost = grid.cost_matrix();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut db = HistogramDb::new(grid.num_bins());
-        // 19 rows exercises one full 16-row kernel tile *and* its scalar
-        // remainder loop.
-        for _ in 0..19 {
-            db.push(random_histogram(&mut rng, grid.num_bins()));
-        }
-        let q = random_histogram(&mut rng, grid.num_bins());
-
-        let measures: [(&str, Box<dyn DistanceMeasure>); 9] = [
-            ("LbAvg", Box::new(LbAvg::new(grid.centroids().to_vec()))),
-            ("LbManhattan", Box::new(LbManhattan::new(&cost))),
-            ("LbMax", Box::new(LbMax::new(&cost))),
-            ("LbEuclidean", Box::new(LbEuclidean::new(&cost))),
-            ("LbIm plain", Box::new(LbIm::with_options(&cost, false, false))),
-            ("LbIm refined", Box::new(LbIm::with_options(&cost, true, false))),
-            ("LbIm symmetric", Box::new(LbIm::new(&cost))),
-            ("QuadraticForm", Box::new(QuadraticForm::from_cost(&cost))),
-            ("ExactEmd", Box::new(ExactEmd::new(cost.clone()))),
-        ];
-        for (name, m) in &measures {
-            let scalar: Vec<f64> = db
-                .iter()
-                .map(|(_, h)| m.distance(&q, &h.to_histogram()))
-                .collect();
-            let kernel = m.prepare(&q);
-            for ((id, h), want) in db.iter().zip(&scalar) {
-                let got = kernel.eval(h.bins());
-                prop_assert!(
-                    within_one_ulp(got, *want),
-                    "{name}: eval(row {id}) = {got:e} vs distance = {want:e}"
-                );
-            }
-            let mut block = vec![0.0; db.len()];
-            kernel.eval_block(db.arena(), db.dims(), &mut block);
-            for (id, (got, want)) in block.iter().zip(&scalar).enumerate() {
-                prop_assert!(
-                    within_one_ulp(*got, *want),
-                    "{name}: eval_block row {id} = {got:e} vs distance = {want:e}"
-                );
-            }
-        }
+        prop_assert_eq!(check_prepared_kernels(&BinGrid::new(axes), seed, 19), Ok(()));
     }
 
     /// The tree embedding's certified two-sided bound: for every

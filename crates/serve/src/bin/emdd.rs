@@ -31,7 +31,8 @@ fn main() -> ExitCode {
              [--read-timeout-ms MS] [--default-deadline-ms MS] [--trace-json PATH]\n  \
              [--max-resident-mb N]   serve through a paged column store with an\n  \
                                      N-MiB buffer pool (converts FILE to FILE.emdc\n  \
-                                     on first use) instead of loading into RAM\n  \
+                                     when missing or stale) instead of loading\n  \
+                                     into RAM\n  \
              [--sketch on|off]       build/load the FILE.emds sketch sidecar so\n  \
                                      sketch-only retrieval is served (default on)\n  \
              [--sketch-seed N]       grid-shift seed for a fresh sidecar (default 42)\n  \
@@ -89,7 +90,10 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
         .ok_or_else(|| "missing required flag --db".to_string())?;
     let max_resident_mb: usize = get_num(flags, "max-resident-mb", 0)?;
     let db = if max_resident_mb > 0 {
-        open_paged(db_path, max_resident_mb)?
+        let budget = max_resident_mb.saturating_mul(1024 * 1024);
+        storage::open_paged_or_convert(db_path, budget, &mut |msg| eprintln!("emdd: {msg}"))
+            .map_err(|e| format!("{db_path}: {e}"))?
+            .0
     } else {
         storage::load(db_path).map_err(|e| format!("{db_path}: {e}"))?
     };
@@ -202,27 +206,6 @@ fn sketch_tier(
         ),
     }
     Ok(Some(tier))
-}
-
-/// Opens `db_path` as a paged column store with a `max_resident_mb`-MiB
-/// buffer pool. `.emdb` row files are converted once to a `.emdc`
-/// sidecar (skipped when the sidecar already exists); a path that is
-/// already a column file is opened directly.
-fn open_paged(
-    db_path: &str,
-    max_resident_mb: usize,
-) -> Result<earthmover_core::HistogramDb, String> {
-    let budget = max_resident_mb.saturating_mul(1024 * 1024);
-    if let Ok(db) = storage::open_paged(db_path, budget) {
-        return Ok(db);
-    }
-    let sidecar = format!("{db_path}.emdc");
-    if !std::path::Path::new(&sidecar).exists() {
-        let resident = storage::load(db_path).map_err(|e| format!("{db_path}: {e}"))?;
-        storage::save_paged(&resident, &sidecar).map_err(|e| format!("{sidecar}: {e}"))?;
-        eprintln!("emdd: converted {db_path} -> {sidecar}");
-    }
-    storage::open_paged(&sidecar, budget).map_err(|e| format!("{sidecar}: {e}"))
 }
 
 /// Set by the async-signal handler; bridged to the server's stop flag

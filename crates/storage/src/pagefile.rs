@@ -81,12 +81,6 @@ pub enum StorageError {
     },
     /// A page id beyond the end of the file was requested.
     PageOutOfBounds(PageId),
-    /// A record id did not resolve to a live record.
-    BadRecord,
-    /// A record exceeds the maximum storable size.
-    RecordTooLarge { size: usize, max: usize },
-    /// Every buffer-pool frame is pinned; no page can be brought in.
-    PoolExhausted,
 }
 
 impl fmt::Display for StorageError {
@@ -102,13 +96,6 @@ impl fmt::Display for StorageError {
                 write!(f, "page {} is corrupt: {reason}", page.0)
             }
             StorageError::PageOutOfBounds(id) => write!(f, "page {} out of bounds", id.0),
-            StorageError::BadRecord => write!(f, "record id does not resolve"),
-            StorageError::RecordTooLarge { size, max } => {
-                write!(f, "record of {size} bytes exceeds the page limit {max}")
-            }
-            StorageError::PoolExhausted => {
-                write!(f, "buffer pool exhausted: every frame is pinned")
-            }
         }
     }
 }

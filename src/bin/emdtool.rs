@@ -61,7 +61,7 @@ fn main() -> ExitCode {
              writes P0.emdb .. P{{N-1}}.emdb by coordinator hash placement\n  \
              emdtool store-stats --db FILE [--pool-mb N]\n    \
              paged-store report: blocks, resident fraction, pool hit rate,\n    \
-             filter-cache occupancy (converts FILE to FILE.emdc on first use)"
+             filter-cache occupancy (converts FILE to FILE.emdc when missing or stale)"
         );
         return ExitCode::from(2);
     };
@@ -410,7 +410,7 @@ fn shard_split(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `emdtool store-stats` — open (converting once if needed) a database
+/// `emdtool store-stats` — open (converting if needed) a database
 /// as a paged column store and report the storage-hierarchy picture:
 /// block layout, buffer-pool residency and hit rate after a cold+warm
 /// sweep, and filter-cache occupancy after two identical queries.
@@ -418,21 +418,9 @@ fn store_stats(flags: &HashMap<String, String>) -> Result<(), String> {
     let path = get(flags, "db")?;
     let pool_mb: usize = get_num(flags, "pool-mb", 4)?;
     let budget = pool_mb.max(1).saturating_mul(1024 * 1024);
-    let (db, source) = match storage::open_paged(path, budget) {
-        Ok(db) => (db, path.to_string()),
-        Err(_) => {
-            // Not a column file: convert the row-major .emdb once.
-            let sidecar = format!("{path}.emdc");
-            if !std::path::Path::new(&sidecar).exists() {
-                let resident = storage::load(path).map_err(|e| format!("{path}: {e}"))?;
-                storage::save_paged(&resident, &sidecar).map_err(|e| format!("{sidecar}: {e}"))?;
-                eprintln!("converted {path} -> {sidecar}");
-            }
-            let db =
-                storage::open_paged(&sidecar, budget).map_err(|e| format!("{sidecar}: {e}"))?;
-            (db, sidecar)
-        }
-    };
+    let (db, source) = storage::open_paged_or_convert(path, budget, &mut |msg| eprintln!("{msg}"))
+        .map_err(|e| format!("{path}: {e}"))?;
+    let source = source.display();
     // Cold sweep touches every block once (all misses), the warm sweep
     // re-reads them (hits up to pool capacity) — so the printed hit rate
     // reflects how much of the corpus the pool can keep resident.

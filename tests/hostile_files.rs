@@ -4,14 +4,16 @@
 //!
 //! `SketchTier::load` reports every refusal as
 //! `io::ErrorKind::InvalidData` (which `emdd` answers by rebuilding the
-//! sidecar); `storage::open_paged` reports a typed `StorageError`.
+//! sidecar); `storage::open_paged` reports a typed `StorageError`, and
+//! `storage::open_paged_or_convert` answers a stale or torn `.emdc`
+//! sidecar by rebuilding it from the row file.
 
 use earthmover::core::storage::{self, crc32};
 use earthmover::imaging::corpus::{CorpusConfig, SyntheticCorpus};
 use earthmover::storage_engine::{StorageError as PageError, PAGE_SIZE};
-use earthmover::{BinGrid, HistogramDb, SketchTier};
+use earthmover::{BinGrid, FirstStage, HistogramDb, QueryEngine, SketchTier};
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("earthmover-hostile-{}", std::process::id()));
@@ -167,4 +169,117 @@ fn wrong_dims_column_file_is_a_typed_error() {
         }
     }
     std::fs::remove_file(&path).unwrap();
+}
+
+/// Where the column sidecar of the row file `emdb` lives.
+fn sidecar_of(emdb: &Path) -> PathBuf {
+    PathBuf::from(format!("{}.emdc", emdb.display()))
+}
+
+/// Mounts `emdb` through the daemons' open-or-convert policy with a
+/// one-block pool; returns the database and what the policy logged.
+fn open_or_convert(emdb: &Path) -> (HistogramDb, Vec<String>) {
+    let mut log = Vec::new();
+    let (db, source) =
+        storage::open_paged_or_convert(emdb, 1, &mut |msg| log.push(msg.to_string())).unwrap();
+    assert_eq!(source, sidecar_of(emdb));
+    (db, log)
+}
+
+/// `paged` holds exactly the rows of the row file and ranks them as a
+/// resident load of it does.
+fn assert_serves(paged: &HistogramDb, emdb: &Path, grid: &BinGrid) {
+    let resident = storage::load(emdb).unwrap();
+    assert_eq!(
+        (paged.len(), paged.dims()),
+        (resident.len(), resident.dims())
+    );
+    for id in 0..resident.len() {
+        assert_eq!(paged.try_row(id).unwrap().bins(), resident.get(id).bins());
+    }
+    let q = resident.get(resident.len() / 2).to_histogram();
+    let knn = |db: &HistogramDb| {
+        let engine = QueryEngine::builder(db, grid)
+            .first_stage(FirstStage::ManhattanScan)
+            .build();
+        engine.knn(&q, 7).unwrap().items
+    };
+    assert_eq!(knn(paged), knn(&resident));
+}
+
+/// The `.emdb` was regenerated with another row count after its
+/// sidecar was written: the old corpus must not be served.
+#[test]
+fn column_sidecar_of_another_row_count_is_rebuilt() {
+    let grid = BinGrid::new(vec![2, 2, 2]);
+    let emdb = tmp("regenerated.emdb");
+    storage::save(&corpus_db(&grid, 300), &emdb).unwrap();
+    let (first, log) = open_or_convert(&emdb);
+    assert_eq!(first.len(), 300);
+    assert!(log.iter().all(|l| l.starts_with("converted")), "{log:?}");
+
+    storage::save(&corpus_db(&grid, 120), &emdb).unwrap();
+    let (second, log) = open_or_convert(&emdb);
+    assert!(log.iter().any(|l| l.contains("stale")), "{log:?}");
+    assert_serves(&second, &emdb, &grid);
+    std::fs::remove_file(sidecar_of(&emdb)).unwrap();
+    std::fs::remove_file(&emdb).unwrap();
+}
+
+/// A conversion that died part-way — the state `ColumnWriter` leaves
+/// when it never reaches `finish`, and cuts inside the file header and
+/// the meta page — must not keep the daemon from starting.
+#[test]
+fn torn_column_sidecar_is_rebuilt() {
+    let grid = BinGrid::new(vec![2, 2, 2]);
+    let emdb = tmp("torn.emdb");
+    let sidecar = sidecar_of(&emdb);
+    let db = corpus_db(&grid, 300);
+    storage::save(&db, &emdb).unwrap();
+    drop(open_or_convert(&emdb));
+    let good = std::fs::read(&sidecar).unwrap();
+
+    let phys_page = PAGE_SIZE + 8;
+    let mut torn: Vec<Vec<u8>> = [0, 10, phys_page - 1, phys_page + 100]
+        .iter()
+        .map(|&keep| good[..keep].to_vec())
+        .collect();
+    let mut writer = storage::ColumnWriter::create(&sidecar, db.dims(), 64).unwrap();
+    writer.append_rows(db.arena()).unwrap();
+    drop(writer);
+    torn.push(std::fs::read(&sidecar).unwrap());
+
+    for (case, bytes) in torn.iter().enumerate() {
+        std::fs::write(&sidecar, bytes).unwrap();
+        let (paged, log) = open_or_convert(&emdb);
+        assert!(log.iter().any(|l| l.contains("rebuilding")), "{log:?}");
+        assert_serves(&paged, &emdb, &grid);
+        assert_eq!(std::fs::read(&sidecar).unwrap(), good, "case {case}");
+    }
+    std::fs::remove_file(&sidecar).unwrap();
+    std::fs::remove_file(&emdb).unwrap();
+}
+
+#[test]
+fn matching_column_sidecar_is_reused_not_rewritten() {
+    let grid = BinGrid::new(vec![2, 2, 2]);
+    let emdb = tmp("reused.emdb");
+    let sidecar = sidecar_of(&emdb);
+    storage::save(&corpus_db(&grid, 300), &emdb).unwrap();
+    drop(open_or_convert(&emdb));
+    let written = std::fs::metadata(&sidecar).unwrap().modified().unwrap();
+
+    let (db, log) = open_or_convert(&emdb);
+    assert!(log.is_empty(), "{log:?}");
+    assert_serves(&db, &emdb, &grid);
+    assert_eq!(
+        std::fs::metadata(&sidecar).unwrap().modified().unwrap(),
+        written
+    );
+    // A path that already is a column file is opened as it is.
+    let (direct, source) =
+        storage::open_paged_or_convert(&sidecar, 1, &mut |msg| panic!("logged {msg}")).unwrap();
+    assert_eq!((direct.len(), source), (300, sidecar.clone()));
+    std::fs::remove_file(&sidecar).unwrap();
+    std::fs::remove_file(&emdb).unwrap();
 }
