@@ -17,12 +17,8 @@ use std::time::Duration;
 /// Histogram resolutions of the paper's dimensionality experiment
 /// (Figure 8): 16, 32 and 64 bins.
 pub fn grid_for_dims(dims: usize) -> BinGrid {
-    match dims {
-        16 => BinGrid::new(vec![4, 2, 2]),
-        32 => BinGrid::new(vec![4, 4, 2]),
-        64 => BinGrid::new(vec![4, 4, 4]),
-        other => panic!("unsupported histogram dimensionality {other} (use 16/32/64)"),
-    }
+    BinGrid::for_bins(dims)
+        .unwrap_or_else(|| panic!("unsupported histogram dimensionality {dims} (use 16/32/64)"))
 }
 
 /// A fully constructed experiment workload: database plus query

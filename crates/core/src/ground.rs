@@ -41,6 +41,19 @@ impl BinGrid {
         BinGrid { axes, centroids }
     }
 
+    /// The paper's 3-D color grid for a histogram of `bins` bins — the
+    /// 16-, 32- and 64-bin resolutions of the dimensionality experiment
+    /// (Figure 8) — or `None` for any other arity.
+    pub fn for_bins(bins: usize) -> Option<BinGrid> {
+        let axes = match bins {
+            16 => vec![4, 2, 2],
+            32 => vec![4, 4, 2],
+            64 => vec![4, 4, 4],
+            _ => return None,
+        };
+        Some(BinGrid::new(axes))
+    }
+
     fn centroid_of(axes: &[usize], mut bin: usize) -> Vec<f64> {
         // Row-major: the last axis varies fastest.
         let mut coords = vec![0.0; axes.len()];
@@ -124,9 +137,12 @@ mod tests {
 
     #[test]
     fn bin_count_is_axis_product() {
-        assert_eq!(BinGrid::new(vec![4, 4, 4]).num_bins(), 64);
-        assert_eq!(BinGrid::new(vec![4, 4, 2]).num_bins(), 32);
-        assert_eq!(BinGrid::new(vec![4, 2, 2]).num_bins(), 16);
+        for (bins, axes) in [(64, [4, 4, 4]), (32, [4, 4, 2]), (16, [4, 2, 2])] {
+            let grid = BinGrid::for_bins(bins).expect("a paper resolution");
+            assert_eq!(grid.axes(), axes);
+            assert_eq!(grid.num_bins(), bins);
+        }
+        assert_eq!(BinGrid::for_bins(48), None);
     }
 
     #[test]

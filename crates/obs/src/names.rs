@@ -100,14 +100,17 @@ pub const METRIC_NAMES: &[&str] = &[
     "query_seconds",
     // network query service (crates/serve): admission control and
     // per-endpoint latency. `serve_queue_depth` / `serve_active_connections`
-    // are point-in-time gauges; `serve_*_seconds` are request-latency
-    // histograms per endpoint.
+    // are point-in-time gauges; `serve_queue_wait_seconds` is the time an
+    // admitted connection sat in the queue before a worker popped it;
+    // the other `serve_*_seconds` are request-latency histograms per
+    // endpoint.
     "serve_requests_total",
     "serve_shed_total",
     "serve_deadline_exceeded_total",
     "serve_errors_total",
     "serve_connections_total",
     "serve_queue_depth",
+    "serve_queue_wait_seconds",
     "serve_active_connections",
     "serve_knn_seconds",
     "serve_range_seconds",
@@ -132,6 +135,8 @@ pub const METRIC_NAMES: &[&str] = &[
     "coord_shed_total",
     "coord_errors_total",
     "coord_queue_depth",
+    "coord_queue_wait_seconds",
+    "coord_active_connections",
     "coord_request_seconds",
     // distributed tracing / fleet telemetry plane. The per-group
     // straggler histograms are a dynamic family:

@@ -16,63 +16,27 @@
 //! one corpus. The coordinator speaks the same wire protocol as `emdd`,
 //! so any client (emdtool, loadgen) works unchanged against it.
 
-use earthmover_obs as obs;
 use earthmover_serve::coord::{ClusterConfig, ClusterShared, GroupSpec, HedgeConfig};
 use earthmover_serve::coord_server::{CoordServer, CoordServerConfig};
+use earthmover_serve::daemon::{self, Flags};
 use earthmover_serve::retry::RetryPolicy;
-use earthmover_serve::server::StopHandle;
-use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+const USAGE: &str = "usage: emdd-coord --shards \"primary[,replica];...\" [--addr HOST:PORT]
+  [--workers N] [--queue N] [--read-timeout-ms MS] [--io-timeout-ms MS]
+  [--retries N] [--retry-base-ms MS] [--jitter-seed N] [--hedge-ms MS]
+  [--no-hedge true] [--sub-budget F] [--default-deadline-ms MS]
+  [--discover-timeout-ms MS] [--trace-json PATH] [--slow-query-ms MS]
+  [--sample-every N] [--scrape-interval-ms MS]
+  [--default-mode MODE]   retrieval tier for mode-less k-NN requests:
+                          exact | sketch | approx:EPS
+unknown flags are errors";
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(flags) = parse(&args) else {
-        eprintln!(
-            "usage: emdd-coord --shards \"primary[,replica];...\" [--addr HOST:PORT]\n  \
-             [--workers N] [--queue N] [--io-timeout-ms MS] [--retries N]\n  \
-             [--retry-base-ms MS] [--hedge-ms MS] [--no-hedge true]\n  \
-             [--sub-budget F] [--default-deadline-ms MS] [--trace-json PATH]\n  \
-             [--slow-query-ms MS] [--sample-every N] [--scrape-interval-ms MS]\n  \
-             [--default-mode MODE]   retrieval tier for mode-less k-NN requests:\n  \
-                                     exact | sketch | approx:EPS"
-        );
-        return ExitCode::from(2);
-    };
-    match serve(&flags) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Splits `--flag value` pairs into a map.
-fn parse(args: &[String]) -> Option<HashMap<String, String>> {
-    let mut flags = HashMap::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let name = flag.strip_prefix("--")?;
-        flags.insert(name.to_string(), it.next()?.clone());
-    }
-    Some(flags)
-}
-
-fn get_num<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: T,
-) -> Result<T, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} {v} is not a number")),
-    }
+    daemon::main(USAGE, serve)
 }
 
 /// Parses `primary[,replica];primary[,replica];...` into group specs.
@@ -109,48 +73,34 @@ fn parse_shards(spec: &str) -> Result<Vec<GroupSpec>, String> {
     Ok(groups)
 }
 
-fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
+fn serve(flags: &Flags) -> Result<(), String> {
     let shards = flags
         .get("shards")
         .ok_or_else(|| "missing required flag --shards".to_string())?;
     let groups = parse_shards(shards)?;
-    let addr = flags
-        .get("addr")
-        .map(|s| s.as_str())
-        .unwrap_or("127.0.0.1:4410");
+    let addr = flags.get("addr").unwrap_or("127.0.0.1:4410");
 
-    let default_deadline_ms: u64 = get_num(flags, "default-deadline-ms", 0)?;
-    let hedge_ms: u64 = get_num(flags, "hedge-ms", 25)?;
-    let no_hedge = flags.get("no-hedge").is_some_and(|v| v == "true");
+    let default_deadline_ms: u64 = flags.num("default-deadline-ms", 0)?;
+    let hedge_ms: u64 = flags.num("hedge-ms", 25)?;
+    let no_hedge = flags.get("no-hedge") == Some("true");
     let mut cluster_cfg = ClusterConfig::new(groups);
-    cluster_cfg.io_timeout = Duration::from_millis(get_num(flags, "io-timeout-ms", 2_000)?);
+    cluster_cfg.io_timeout = Duration::from_millis(flags.num("io-timeout-ms", 2_000)?);
     cluster_cfg.retry = RetryPolicy {
-        max_retries: get_num(flags, "retries", 3)?,
-        base_backoff: Duration::from_millis(get_num(flags, "retry-base-ms", 10)?),
+        max_retries: flags.num("retries", 3)?,
+        base_backoff: Duration::from_millis(flags.num("retry-base-ms", 10)?),
         max_backoff: Duration::from_millis(500),
-        jitter_seed: get_num(flags, "jitter-seed", 0xC00D)?,
+        jitter_seed: flags.num("jitter-seed", 0xC00D)?,
     };
     cluster_cfg.hedge = (!no_hedge).then(|| HedgeConfig {
         max_delay: Duration::from_millis(hedge_ms.max(1)),
         ..HedgeConfig::default()
     });
-    cluster_cfg.sub_budget_fraction = get_num(flags, "sub-budget", 0.8)?;
+    cluster_cfg.sub_budget_fraction = flags.num("sub-budget", 0.8)?;
     cluster_cfg.default_deadline =
         (default_deadline_ms > 0).then(|| Duration::from_millis(default_deadline_ms));
-    cluster_cfg.discover_timeout =
-        Duration::from_millis(get_num(flags, "discover-timeout-ms", 10_000)?);
+    cluster_cfg.discover_timeout = Duration::from_millis(flags.num("discover-timeout-ms", 10_000)?);
 
-    let subscriber: Option<Arc<dyn obs::Subscriber>> = match flags.get("trace-json") {
-        None => None,
-        Some(path) if path == "-" || path == "stderr" => {
-            Some(Arc::new(obs::JsonLinesEmitter::stderr()))
-        }
-        Some(path) => {
-            let file =
-                std::fs::File::create(path).map_err(|e| format!("--trace-json {path}: {e}"))?;
-            Some(Arc::new(obs::JsonLinesEmitter::new(Box::new(file))))
-        }
-    };
+    let subscriber = flags.subscriber()?;
 
     eprintln!(
         "emdd-coord: discovering {} shard group(s)...",
@@ -168,79 +118,27 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
     // Tracing / fleet-telemetry knobs: `--slow-query-ms 0` logs every
     // query (the threshold is "at least this slow"); the flag absent
     // disables the slow-query log entirely.
-    let slow_query = flags
-        .get("slow-query-ms")
-        .map(|v| {
-            v.parse::<u64>()
-                .map(Duration::from_millis)
-                .map_err(|_| format!("--slow-query-ms {v} is not a number"))
-        })
-        .transpose()?;
-    let scrape_interval_ms: u64 = get_num(flags, "scrape-interval-ms", 2_000)?;
-    let default_mode = match flags.get("default-mode") {
+    let slow_query = match flags.get("slow-query-ms") {
         None => None,
-        Some(spec) => Some(earthmover_core::RetrievalMode::parse(spec).ok_or_else(|| {
-            format!("--default-mode {spec}: expected exact, sketch, or approx:EPS")
-        })?),
+        Some(_) => Some(Duration::from_millis(flags.num("slow-query-ms", 0)?)),
     };
+    let scrape_interval_ms: u64 = flags.num("scrape-interval-ms", 2_000)?;
     let cfg = CoordServerConfig {
-        workers: get_num(flags, "workers", 4)?,
-        queue_depth: get_num(flags, "queue", 64)?,
-        read_timeout: Duration::from_millis(get_num(flags, "read-timeout-ms", 30_000)?),
+        workers: flags.num("workers", 4)?,
+        queue_depth: flags.num("queue", 64)?,
+        read_timeout: Duration::from_millis(flags.num("read-timeout-ms", 30_000)?),
         slow_query,
-        trace_sample_every: get_num(flags, "sample-every", 0)?,
+        trace_sample_every: flags.num("sample-every", 0)?,
         fleet_scrape_interval: (scrape_interval_ms > 0)
             .then(|| Duration::from_millis(scrape_interval_ms)),
-        default_mode,
+        default_mode: flags.default_mode()?,
         ..CoordServerConfig::default()
     };
     let server = CoordServer::bind(addr, cfg, cluster).map_err(|e| format!("bind {addr}: {e}"))?;
     let local = server.local_addr().map_err(|e| e.to_string())?;
     eprintln!("emdd-coord: serving on {local}");
-    watch_signals(server.stop_handle());
+    daemon::watch_signals("emdd-coord", server.stop_handle());
     server.run(subscriber).map_err(|e| e.to_string())?;
     eprintln!("emdd-coord: drained, bye");
     Ok(())
-}
-
-/// Set by the async-signal handler; bridged to the server's stop flag
-/// by a watcher thread (signal handlers may only touch statics).
-static SIGNALLED: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_signal(_sig: i32) {
-    SIGNALLED.store(true, Ordering::SeqCst);
-}
-
-/// Registers SIGINT/SIGTERM handlers and spawns the bridge thread that
-/// forwards the flag into `stop`.
-fn watch_signals(stop: StopHandle) {
-    #[cfg(unix)]
-    {
-        type Handler = extern "C" fn(i32);
-        extern "C" {
-            fn signal(signum: i32, handler: Handler) -> usize;
-        }
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        // SAFETY: `signal(2)` with a handler that only performs an
-        // atomic store is async-signal-safe; both arguments are valid
-        // for the lifetime of the process.
-        #[allow(unsafe_code)]
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
-    std::thread::Builder::new()
-        .name("emdd-coord-signal-bridge".into())
-        .spawn(move || loop {
-            if SIGNALLED.load(Ordering::SeqCst) {
-                eprintln!("emdd-coord: signal received, draining");
-                stop.stop();
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        })
-        .map(drop)
-        .unwrap_or_else(|e| eprintln!("emdd-coord: signal bridge unavailable: {e}"));
 }

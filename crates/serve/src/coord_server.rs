@@ -3,12 +3,13 @@
 //!
 //! Speaks exactly the `emdd` protocol — a client cannot tell a
 //! coordinator from a single node, which is what makes the healthy-
-//! cluster parity tests meaningful. The threading model mirrors
-//! [`crate::server`]: non-blocking acceptor, bounded connection queue
-//! (shared [`crate::queue`] machinery), shed lane answering overflow
-//! with `Overloaded`, and a worker pool; each worker owns its own
-//! [`Coordinator`] (private shard connections) over the shared
-//! [`ClusterShared`] state (breakers, latency windows, metrics).
+//! cluster parity tests meaningful. It *is* the daemon runtime
+//! ([`crate::runtime`]: non-blocking acceptor, bounded connection
+//! queue, shed lane answering overflow with `Overloaded`, worker pool)
+//! with a different handler: each worker owns its own [`Coordinator`]
+//! (private shard connections) over the shared [`ClusterShared`] state
+//! (breakers, latency windows, metrics), and an extra thread keeps the
+//! fleet telemetry cache fresh.
 //!
 //! A cluster-side degradation (unreachable shard group, shard deadline)
 //! surfaces as the wire's typed-partial frame (`DeadlineExceeded`),
@@ -19,13 +20,12 @@
 use crate::client::Outcome;
 use crate::coord::{ClusterShared, CoordError, Coordinator};
 use crate::fleet::FleetTelemetry;
-use crate::protocol::{self, ErrorCode, RawFrame, Request, Response, WireError, OVERLOAD_NOTE};
-use crate::queue::{ConnQueue, ShedLane};
+use crate::protocol::{self, ErrorCode, Request, RequestExt, Response};
+use crate::runtime::{self, Background, Handler, Limits, Names};
 use crate::server::StopHandle;
-use earthmover_core::stats::QueryStats;
-use earthmover_obs::{self as obs, Subscriber};
+use earthmover_obs::{self as obs, MetricsRegistry, Subscriber};
 use std::io;
-use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,10 +91,10 @@ pub struct CoordServer {
     stop: StopHandle,
 }
 
-struct Shared {
+/// State shared by the workers: the coordinator [`Handler`].
+pub(crate) struct Shared {
     cfg: CoordServerConfig,
     cluster: Arc<ClusterShared>,
-    queue: ConnQueue,
     stop: StopHandle,
     fleet: FleetTelemetry,
     /// Query requests seen without a caller trace context; drives the
@@ -138,118 +138,102 @@ impl CoordServer {
     /// returns. `subscriber`, when given, is installed on every worker
     /// thread and flushed on the way out.
     pub fn run(&self, subscriber: Option<Arc<dyn Subscriber>>) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let shared = Shared {
             cfg: self.cfg.clone(),
             cluster: Arc::clone(&self.cluster),
-            queue: ConnQueue::new(self.cfg.queue_depth),
             stop: self.stop.clone(),
             fleet: FleetTelemetry::new(self.cluster.config().groups.len()),
             sampler: AtomicU64::new(0),
         };
-        let shed = ShedLane::new();
-        std::thread::scope(|scope| {
-            for worker in 0..self.cfg.workers.max(1) {
-                let shared = &shared;
-                let subscriber = subscriber.clone();
-                std::thread::Builder::new()
-                    .name(format!("emdd-coord-worker-{worker}"))
-                    .spawn_scoped(scope, move || {
-                        let _guard = subscriber.map(obs::install);
-                        let mut coordinator = Coordinator::new(Arc::clone(&shared.cluster));
-                        worker_loop(shared, &mut coordinator);
-                    })?;
-            }
-            {
-                // The shedder emits `coord_shed` events: it needs the
-                // subscriber installed just like the workers.
-                let shared = &shared;
-                let shed = &shed;
-                let subscriber = subscriber.clone();
-                std::thread::Builder::new()
-                    .name("emdd-coord-shedder".into())
-                    .spawn_scoped(scope, move || {
-                        let _guard = subscriber.map(obs::install);
-                        shed_loop(shared, shed);
-                    })?;
-            }
-            if let Some(interval) = self.cfg.fleet_scrape_interval {
-                let shared = &shared;
-                let subscriber = subscriber.clone();
-                std::thread::Builder::new()
-                    .name("emdd-coord-fleet".into())
-                    .spawn_scoped(scope, move || {
-                        let _guard = subscriber.map(obs::install);
-                        fleet_loop(shared, interval);
-                    })?;
-            }
-            accept_loop(&self.listener, &shared, &shed);
-            shared.queue.wake_all();
-            shed.close();
-            Ok::<(), io::Error>(())
-        })?;
-        if let Some(s) = &subscriber {
-            s.flush();
-        }
-        Ok(())
+        let limits = Limits {
+            db_size: usize::try_from(self.cluster.topology().total).unwrap_or(usize::MAX),
+            workers: self.cfg.workers,
+            queue_depth: self.cfg.queue_depth,
+            read_timeout: self.cfg.read_timeout,
+            write_timeout: self.cfg.write_timeout,
+            max_frame_len: self.cfg.max_frame_len,
+        };
+        runtime::run(&self.listener, limits, &self.stop, subscriber, &shared)
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Shared, shed: &ShedLane) {
-    let registry = shared.cluster.registry();
-    let depth_gauge = registry.gauge("coord_queue_depth");
-    while !shared.stop.is_stopped() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                registry.counter("coord_connections_total").inc(1);
-                match shared.queue.push(stream) {
-                    Ok(len) => depth_gauge.set(len as f64),
-                    Err(stream) => {
-                        registry.counter("coord_shed_total").inc(1);
-                        shed.offer(stream);
-                    }
+impl Handler for Shared {
+    type Worker = Coordinator;
+    const NAMES: Names = Names {
+        daemon: "emdd-coord",
+        connection_span: "coord_connection",
+        shed_event: "coord_shed",
+        connections_total: "coord_connections_total",
+        shed_total: "coord_shed_total",
+        errors_total: "coord_errors_total",
+        requests_total: "coord_requests_total",
+        queue_depth: "coord_queue_depth",
+        queue_wait_seconds: "coord_queue_wait_seconds",
+        active_connections: "coord_active_connections",
+    };
+
+    fn registry(&self) -> &MetricsRegistry {
+        self.cluster.registry()
+    }
+
+    fn worker(&self) -> Coordinator {
+        Coordinator::new(Arc::clone(&self.cluster))
+    }
+
+    fn respond(
+        &self,
+        coordinator: &mut Coordinator,
+        started: Instant,
+        request: Result<(Request, RequestExt), Response>,
+    ) -> (Response, bool) {
+        let registry = self.cluster.registry();
+        let is_query = matches!(
+            &request,
+            Ok((Request::Knn { .. } | Request::Range { .. }, _))
+        );
+        // Trace context: adopt the caller's when the frame carries one;
+        // otherwise head-sample — every Nth uncontexted query starts a
+        // fresh sampled trace rooted here.
+        let trace = match &request {
+            Ok((_, exts)) if exts.trace.is_some() => exts.trace,
+            Ok((_, _)) if is_query && self.cfg.trace_sample_every > 0 => {
+                let n = self.sampler.fetch_add(1, Ordering::Relaxed);
+                if n.is_multiple_of(self.cfg.trace_sample_every) {
+                    registry.counter("coord_traces_sampled_total").inc(1);
+                    Some(obs::TraceContext::root(true))
+                } else {
+                    None
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                registry.counter("coord_errors_total").inc(1);
-                std::thread::sleep(Duration::from_millis(10));
+            _ => None,
+        };
+        let _trace_scope = trace.map(|t| obs::set_trace(Some(t)));
+        let (response, keep_going) = match request {
+            Ok((req, exts)) => execute(self, coordinator, req, exts.mode),
+            Err(bad_request) => (bad_request, true),
+        };
+        let elapsed = started.elapsed();
+        registry.histogram("coord_request_seconds").observe(elapsed);
+        if is_query {
+            if let Some(threshold) = self.cfg.slow_query {
+                if elapsed >= threshold {
+                    registry.counter("coord_slow_queries_total").inc(1);
+                    // Emitted inside the trace scope: the event's trace_id
+                    // links it to the coord_request span and every shard's
+                    // serve_request span in the same tree.
+                    obs::event!("coord_slow_query", elapsed_us = elapsed.as_micros() as u64);
+                }
             }
         }
+        (response, keep_going)
     }
-}
 
-/// Serves shed connections exactly like the single-node shedder.
-fn shed_loop(shared: &Shared, lane: &ShedLane) {
-    loop {
-        let Some(mut stream) = lane.take() else {
-            if lane.is_closed() {
-                return;
-            }
-            continue;
-        };
-        obs::event!("coord_shed");
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-        let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-        let request_id = match protocol::read_frame(&mut stream, shared.cfg.max_frame_len) {
-            Ok(Some(raw)) => raw.request_id,
-            _ => 0,
-        };
-        let mut stats = QueryStats {
-            db_size: usize::try_from(shared.cluster.topology().total).unwrap_or(usize::MAX),
-            ..QueryStats::default()
-        };
-        stats.record_degradation_once(OVERLOAD_NOTE);
-        let resp = Response::Overloaded {
-            queue_depth: shared.cfg.queue_depth as u32,
-            stats,
-        };
-        let _ = protocol::write_frame(&mut stream, &protocol::encode_response(request_id, &resp));
-        let _ = stream.shutdown(Shutdown::Both);
+    fn background(&self) -> Option<Background<'_>> {
+        let interval = self.cfg.fleet_scrape_interval?;
+        Some((
+            "emdd-coord-fleet",
+            Box::new(move || fleet_loop(self, interval)),
+        ))
     }
 }
 
@@ -266,121 +250,6 @@ fn fleet_loop(shared: &Shared, interval: Duration) {
             slept += step;
         }
     }
-}
-
-fn worker_loop(shared: &Shared, coordinator: &mut Coordinator) {
-    let depth_gauge = shared.cluster.registry().gauge("coord_queue_depth");
-    loop {
-        let (conn, len) = shared.queue.pop(Duration::from_millis(50));
-        depth_gauge.set(len as f64);
-        match conn {
-            Some(stream) => serve_connection(shared, coordinator, stream),
-            None if shared.stop.is_stopped() => return,
-            None => {}
-        }
-    }
-}
-
-fn serve_connection(shared: &Shared, coordinator: &mut Coordinator, mut stream: TcpStream) {
-    let registry = shared.cluster.registry();
-    let mut span = obs::span!("coord_connection");
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut served: u64 = 0;
-    loop {
-        match protocol::read_frame(&mut stream, shared.cfg.max_frame_len) {
-            Ok(Some(raw)) => {
-                served += 1;
-                let keep_going = handle_frame(shared, coordinator, &mut stream, raw);
-                if !keep_going || shared.stop.is_stopped() {
-                    break;
-                }
-            }
-            Ok(None) => break,
-            Err(WireError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                break;
-            }
-            Err(err) => {
-                registry.counter("coord_errors_total").inc(1);
-                let resp = Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: err.to_string(),
-                };
-                let _ = protocol::write_frame(&mut stream, &protocol::encode_response(0, &resp));
-                break;
-            }
-        }
-    }
-    span.record("requests", served as f64);
-    drop(span);
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-fn handle_frame(
-    shared: &Shared,
-    coordinator: &mut Coordinator,
-    stream: &mut TcpStream,
-    raw: RawFrame,
-) -> bool {
-    let registry = shared.cluster.registry();
-    let request_id = raw.request_id;
-    registry.counter("coord_requests_total").inc(1);
-    let started = Instant::now();
-    let decoded = raw.into_request_ext();
-    let is_query = matches!(
-        &decoded,
-        Ok((Request::Knn { .. } | Request::Range { .. }, _))
-    );
-    // Trace context: adopt the caller's when the frame carries one;
-    // otherwise head-sample — every Nth uncontexted query starts a
-    // fresh sampled trace rooted here.
-    let trace = match &decoded {
-        Ok((_, exts)) if exts.trace.is_some() => exts.trace,
-        Ok((_, _)) if is_query && shared.cfg.trace_sample_every > 0 => {
-            let n = shared.sampler.fetch_add(1, Ordering::Relaxed);
-            if n.is_multiple_of(shared.cfg.trace_sample_every) {
-                registry.counter("coord_traces_sampled_total").inc(1);
-                Some(obs::TraceContext::root(true))
-            } else {
-                None
-            }
-        }
-        _ => None,
-    };
-    let _trace_scope = trace.map(|t| obs::set_trace(Some(t)));
-    let (response, keep_going) = match decoded {
-        Ok((req, exts)) => execute(shared, coordinator, req, exts.mode),
-        Err(err) => {
-            registry.counter("coord_errors_total").inc(1);
-            (
-                Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: err.to_string(),
-                },
-                true,
-            )
-        }
-    };
-    let elapsed = started.elapsed();
-    registry.histogram("coord_request_seconds").observe(elapsed);
-    if is_query {
-        if let Some(threshold) = shared.cfg.slow_query {
-            if elapsed >= threshold {
-                registry.counter("coord_slow_queries_total").inc(1);
-                // Emitted inside the trace scope: the event's trace_id
-                // links it to the coord_request span and every shard's
-                // serve_request span in the same tree.
-                obs::event!("coord_slow_query", elapsed_us = elapsed.as_micros() as u64);
-            }
-        }
-    }
-    let wrote =
-        protocol::write_frame(stream, &protocol::encode_response(request_id, &response)).is_ok();
-    keep_going && wrote
 }
 
 /// Runs one decoded request through the coordinator. Returns the

@@ -12,8 +12,9 @@
 //! - **deadline budgets**: each request carries a time budget that is
 //!   threaded into the multistep pipeline, which returns a *typed
 //!   partial* result (`DeadlineExceeded`) instead of overshooting;
-//! - **graceful shutdown**: a `shutdown` frame or a signal drains
-//!   in-flight work, flushes telemetry, and then exits;
+//! - **graceful shutdown**: a `shutdown` frame or a signal (bridged by
+//!   [`daemon`], the scaffolding both binaries share) drains in-flight
+//!   work, flushes telemetry, and then exits;
 //! - first-class **observability**: `serve_*` metrics (queue depth,
 //!   shed counter, per-endpoint latency histograms) and spans, with a
 //!   Prometheus text dump served over the `stats` request;
@@ -39,11 +40,12 @@ pub mod breaker;
 pub mod client;
 pub mod coord;
 pub mod coord_server;
+pub mod daemon;
 pub mod fault;
 pub mod fleet;
 pub mod protocol;
-mod queue;
 pub mod retry;
+mod runtime;
 pub mod schema;
 pub mod server;
 pub mod shard;

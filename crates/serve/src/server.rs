@@ -1,15 +1,7 @@
-//! The query daemon runtime: acceptor, bounded request queue, worker
-//! pool, admission control, and graceful drain-then-shutdown.
-//!
-//! Threading model (DESIGN.md §12): one non-blocking acceptor thread
-//! polls the listener and the stop flag. Accepted connections enter a
-//! *bounded* queue; when the queue is full the acceptor sheds the
-//! connection to a dedicated shedder thread, which reads one request
-//! (so the client's write is consumed and the close is a clean FIN, not
-//! an RST) and answers with [`Response::Overloaded`]. A fixed pool of
-//! worker threads pops connections and owns each one until the peer
-//! hangs up, the idle read timeout fires, or a drain begins — requests
-//! on one connection are served back-to-back (keep-alive).
+//! The single-node query daemon: the shared daemon runtime
+//! ([`crate::runtime`] — acceptor, bounded queue, shed lane, worker
+//! pool, keep-alive loop and drain, DESIGN.md §12) with a handler that
+//! runs each decoded request against a [`QueryEngine`].
 //!
 //! Shutdown is cooperative: a [`Request::Shutdown`] frame or the
 //! process's stop flag (signal handler) makes the acceptor stop
@@ -17,18 +9,15 @@
 //! their connections after the current response, and the run returns
 //! after flushing telemetry.
 
-use crate::protocol::{
-    self, ErrorCode, RawFrame, Request, Response, WireError, DEFAULT_MAX_FRAME_LEN, OVERLOAD_NOTE,
-};
-use crate::queue::{ConnQueue, ShedLane};
+use crate::protocol::{ErrorCode, Request, RequestExt, Response, DEFAULT_MAX_FRAME_LEN};
+use crate::runtime::{self, Handler, Limits, Names};
 use earthmover_core::deadline::Deadline;
 use earthmover_core::ground::BinGrid;
 use earthmover_core::pipeline::QueryEngine;
-use earthmover_core::stats::QueryStats;
 use earthmover_core::{HistogramDb, RetrievalMode, SketchTier};
 use earthmover_obs::{self as obs, MetricsRegistry, Subscriber};
 use std::io;
-use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,13 +80,12 @@ impl StopHandle {
     }
 }
 
-/// State shared by the acceptor, shedder, and workers.
-struct Shared<'env> {
+/// State shared by the workers: the single-node [`Handler`].
+pub(crate) struct Shared<'env> {
     engine: QueryEngine<'env>,
     db: &'env HistogramDb,
     cfg: ServerConfig,
     registry: MetricsRegistry,
-    queue: ConnQueue,
     stop: StopHandle,
     started: Instant,
 }
@@ -162,7 +150,6 @@ impl Server {
         subscriber: Option<Arc<dyn Subscriber>>,
         sketch: Option<SketchTier>,
     ) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let mut builder = QueryEngine::builder(db, grid);
         if let Some(tier) = sketch {
             builder = builder.sketch(tier);
@@ -172,226 +159,78 @@ impl Server {
             db,
             cfg: self.cfg.clone(),
             registry: MetricsRegistry::new(),
-            queue: ConnQueue::new(self.cfg.queue_depth),
             stop: self.stop.clone(),
             started: Instant::now(),
         };
-        let shed = ShedLane::new();
-        std::thread::scope(|scope| {
-            for worker in 0..self.cfg.workers.max(1) {
-                let shared = &shared;
-                let subscriber = subscriber.clone();
-                std::thread::Builder::new()
-                    .name(format!("emdd-worker-{worker}"))
-                    .spawn_scoped(scope, move || {
-                        let _guard = subscriber.map(obs::install);
-                        worker_loop(shared);
-                    })?;
-            }
-            {
-                let shared = &shared;
-                let shed = &shed;
-                // The shedder emits `serve_shed` events; it needs the
-                // subscriber too, or the events silently hit Noop.
-                let subscriber = subscriber.clone();
-                std::thread::Builder::new()
-                    .name("emdd-shedder".into())
-                    .spawn_scoped(scope, move || {
-                        let _guard = subscriber.map(obs::install);
-                        shed_loop(shared, shed);
-                    })?;
-            }
-            accept_loop(&self.listener, &shared, &shed);
-            // Drain: wake every worker so the ones parked on an empty
-            // queue observe the stop flag and exit.
-            shared.queue.wake_all();
-            shed.close();
-            Ok::<(), io::Error>(())
-        })?;
-        if let Some(s) = &subscriber {
-            s.flush();
-        }
-        Ok(())
-    }
-}
-
-/// Accepts connections until a stop is requested, shedding when the
-/// bounded queue is full.
-fn accept_loop(listener: &TcpListener, shared: &Shared<'_>, shed: &ShedLane) {
-    let depth_gauge = shared.registry.gauge("serve_queue_depth");
-    while !shared.stop.is_stopped() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                shared.registry.counter("serve_connections_total").inc(1);
-                match shared.queue.push(stream) {
-                    Ok(len) => depth_gauge.set(len as f64),
-                    Err(stream) => {
-                        shared.registry.counter("serve_shed_total").inc(1);
-                        shed.offer(stream);
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                // Accept errors (EMFILE, aborted handshakes) are
-                // transient; back off briefly instead of spinning.
-                shared.registry.counter("serve_errors_total").inc(1);
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-}
-
-/// Serves shed connections: reads the peer's request (consuming its
-/// write so the close is clean), answers [`Response::Overloaded`], and
-/// hangs up.
-fn shed_loop(shared: &Shared<'_>, lane: &ShedLane) {
-    loop {
-        let Some(mut stream) = lane.take() else {
-            if lane.is_closed() {
-                return;
-            }
-            continue;
+        let limits = Limits {
+            db_size: db.len(),
+            workers: self.cfg.workers,
+            queue_depth: self.cfg.queue_depth,
+            read_timeout: self.cfg.read_timeout,
+            write_timeout: self.cfg.write_timeout,
+            max_frame_len: self.cfg.max_frame_len,
         };
-        obs::event!("serve_shed");
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-        let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-        let request_id = match protocol::read_frame(&mut stream, shared.cfg.max_frame_len) {
-            Ok(Some(raw)) => raw.request_id,
-            _ => 0,
-        };
-        let mut stats = QueryStats {
-            db_size: shared.db.len(),
-            ..QueryStats::default()
-        };
-        stats.record_degradation_once(OVERLOAD_NOTE);
-        let resp = Response::Overloaded {
-            queue_depth: shared.cfg.queue_depth as u32,
-            stats,
-        };
-        let _ = protocol::write_frame(&mut stream, &protocol::encode_response(request_id, &resp));
-        let _ = stream.shutdown(Shutdown::Both);
+        runtime::run(&self.listener, limits, &self.stop, subscriber, &shared)
     }
 }
 
-/// Pops connections and serves them until a drain begins and the queue
-/// is empty.
-fn worker_loop(shared: &Shared<'_>) {
-    let depth_gauge = shared.registry.gauge("serve_queue_depth");
-    loop {
-        let (conn, len) = shared.queue.pop(Duration::from_millis(50));
-        depth_gauge.set(len as f64);
-        match conn {
-            Some(stream) => serve_connection(shared, stream),
-            None if shared.stop.is_stopped() => return,
-            None => {}
-        }
-    }
-}
-
-/// Owns one connection: keep-alive loop reading frames until EOF, idle
-/// timeout, a protocol error, or a drain.
-fn serve_connection(shared: &Shared<'_>, mut stream: TcpStream) {
-    let active = shared.registry.gauge("serve_active_connections");
-    active.add(1.0);
-    let mut span = obs::span!("serve_connection");
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut served: u64 = 0;
-    loop {
-        match protocol::read_frame(&mut stream, shared.cfg.max_frame_len) {
-            Ok(Some(raw)) => {
-                served += 1;
-                let keep_going = handle_frame(shared, &mut stream, raw);
-                if !keep_going || shared.stop.is_stopped() {
-                    break;
-                }
-            }
-            Ok(None) => break, // clean EOF at a frame boundary
-            Err(WireError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                break; // idle keep-alive connection
-            }
-            Err(err) => {
-                // Malformed bytes: answer with a typed error, then hang
-                // up — the stream position is no longer trustworthy.
-                shared.registry.counter("serve_errors_total").inc(1);
-                let resp = Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: err.to_string(),
-                };
-                let _ = protocol::write_frame(&mut stream, &protocol::encode_response(0, &resp));
-                break;
-            }
-        }
-    }
-    span.record("requests", served as f64);
-    drop(span);
-    let _ = stream.shutdown(Shutdown::Both);
-    active.add(-1.0);
-}
-
-/// Decodes and executes one frame; returns `false` when the connection
-/// must close (shutdown request, or a response write failed).
-fn handle_frame(shared: &Shared<'_>, stream: &mut TcpStream, raw: RawFrame) -> bool {
-    let request_id = raw.request_id;
-    shared.registry.counter("serve_requests_total").inc(1);
-    let started = Instant::now();
-    let request = raw.into_request_ext();
-    let endpoint = match &request {
-        Ok((Request::Knn { .. }, _)) => "serve_knn_seconds",
-        Ok((Request::Range { .. }, _)) => "serve_range_seconds",
-        Ok((Request::Health, _)) => "serve_health_seconds",
-        Ok((Request::Stats, _)) => "serve_stats_seconds",
-        Ok((Request::Shutdown, _)) => "serve_shutdown_seconds",
-        Err(_) => "serve_errors_total",
+impl Handler for Shared<'_> {
+    type Worker = ();
+    const NAMES: Names = Names {
+        daemon: "emdd",
+        connection_span: "serve_connection",
+        shed_event: "serve_shed",
+        connections_total: "serve_connections_total",
+        shed_total: "serve_shed_total",
+        errors_total: "serve_errors_total",
+        requests_total: "serve_requests_total",
+        queue_depth: "serve_queue_depth",
+        queue_wait_seconds: "serve_queue_wait_seconds",
+        active_connections: "serve_active_connections",
     };
-    // Adopt the caller's trace context (if the frame carried one) for
-    // the duration of this request, so `serve_request` and everything
-    // under it link into the distributed trace.
-    let trace = match &request {
-        Ok((_, exts)) => exts.trace,
-        Err(_) => None,
-    };
-    let _trace_scope = trace.map(|t| obs::set_trace(Some(t)));
-    let mut span = obs::span!("serve_request");
-    let (response, keep_going) = match request {
-        Ok((req, exts)) => execute(shared, req, exts.mode),
-        Err(err) => {
-            shared.registry.counter("serve_errors_total").inc(1);
-            (
-                Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: err.to_string(),
-                },
-                // Payload decoding failed but framing was intact, so the
-                // stream is still aligned; keep the connection.
-                true,
-            )
+
+    fn registry(&self) -> &MetricsRegistry {
+        &self.registry
+    }
+
+    fn worker(&self) {}
+
+    fn respond(
+        &self,
+        _worker: &mut (),
+        started: Instant,
+        request: Result<(Request, RequestExt), Response>,
+    ) -> (Response, bool) {
+        let endpoint = match &request {
+            Ok((Request::Knn { .. }, _)) => Some("serve_knn_seconds"),
+            Ok((Request::Range { .. }, _)) => Some("serve_range_seconds"),
+            Ok((Request::Health, _)) => Some("serve_health_seconds"),
+            Ok((Request::Stats, _)) => Some("serve_stats_seconds"),
+            Ok((Request::Shutdown, _)) => Some("serve_shutdown_seconds"),
+            Err(_) => None,
+        };
+        // Adopt the caller's trace context (if the frame carried one) for
+        // the duration of this request, so `serve_request` and everything
+        // under it link into the distributed trace.
+        let trace = request.as_ref().ok().and_then(|(_, exts)| exts.trace);
+        let _trace_scope = trace.map(|t| obs::set_trace(Some(t)));
+        let mut span = obs::span!("serve_request");
+        let (response, keep_going) = match request {
+            Ok((req, exts)) => execute(self, req, exts.mode),
+            Err(bad_request) => (bad_request, true),
+        };
+        if matches!(response, Response::DeadlineExceeded { .. }) {
+            self.registry
+                .counter("serve_deadline_exceeded_total")
+                .inc(1);
         }
-    };
-    if matches!(response, Response::DeadlineExceeded { .. }) {
-        shared
-            .registry
-            .counter("serve_deadline_exceeded_total")
-            .inc(1);
+        let elapsed = started.elapsed();
+        if let Some(endpoint) = endpoint {
+            self.registry.histogram(endpoint).observe(elapsed);
+        }
+        span.record("elapsed_us", elapsed.as_secs_f64() * 1e6);
+        (response, keep_going)
     }
-    let elapsed = started.elapsed();
-    if endpoint != "serve_errors_total" {
-        shared.registry.histogram(endpoint).observe(elapsed);
-    }
-    span.record("elapsed_us", elapsed.as_secs_f64() * 1e6);
-    drop(span);
-    let wrote =
-        protocol::write_frame(stream, &protocol::encode_response(request_id, &response)).is_ok();
-    keep_going && wrote
 }
 
 /// Runs one decoded request against the engine. Returns the response

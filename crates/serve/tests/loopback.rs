@@ -1,7 +1,8 @@
 //! End-to-end tests against a real daemon on an ephemeral loopback
 //! port: result parity with the in-process engine, keep-alive, health
 //! and Prometheus stats, deadline budgets, admission-control shedding,
-//! malformed-bytes hardening, and drain-then-shutdown.
+//! malformed-bytes hardening, and drain-then-shutdown. The admission
+//! tests run against both front ends of the shared daemon runtime.
 
 use earthmover_core::deadline::DEADLINE_NOTE;
 use earthmover_core::ground::BinGrid;
@@ -9,9 +10,13 @@ use earthmover_core::pipeline::QueryEngine;
 use earthmover_core::HistogramDb;
 use earthmover_imaging::corpus::{CorpusConfig, SyntheticCorpus};
 use earthmover_serve::protocol::OVERLOAD_NOTE;
-use earthmover_serve::{Client, Outcome, Server, ServerConfig};
+use earthmover_serve::{
+    Client, ClusterConfig, ClusterShared, CoordServer, CoordServerConfig, GroupSpec, Outcome,
+    Server, ServerConfig,
+};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn corpus_db(count: usize) -> (BinGrid, HistogramDb) {
@@ -49,6 +54,61 @@ fn with_daemon(db: &HistogramDb, grid: &BinGrid, cfg: ServerConfig, body: impl F
         stop.stop();
         handle.join().expect("server thread").expect("server run");
     });
+}
+
+/// Which daemon a test talks to: the single node, or a coordinator
+/// front end over that node as its only shard. Both run the same
+/// accept → queue → shed → worker runtime, so the admission tests take
+/// each in turn.
+#[derive(Debug, Clone, Copy)]
+enum FrontEnd {
+    Node,
+    Coordinator,
+}
+
+const FRONT_ENDS: [FrontEnd; 2] = [FrontEnd::Node, FrontEnd::Coordinator];
+
+/// [`with_daemon`] for either front end; `cfg`'s pool and queue sizes
+/// apply to the daemon the body talks to (behind a coordinator the
+/// shard runs the defaults).
+fn with_front_end(
+    front: FrontEnd,
+    db: &HistogramDb,
+    grid: &BinGrid,
+    cfg: ServerConfig,
+    body: impl FnOnce(SocketAddr),
+) {
+    match front {
+        FrontEnd::Node => with_daemon(db, grid, cfg, body),
+        FrontEnd::Coordinator => with_daemon(db, grid, ServerConfig::default(), |shard| {
+            let mut cluster = ClusterConfig::new(vec![GroupSpec {
+                primary: shard,
+                replica: None,
+            }]);
+            // Debug-mode exact EMD is slow; a timeout mid-computation
+            // would turn a healthy answer into a flaky partial.
+            cluster.io_timeout = Duration::from_secs(10);
+            cluster.hedge = None;
+            let cluster = ClusterShared::discover(cluster).expect("the shard is healthy");
+            let coord_cfg = CoordServerConfig {
+                workers: cfg.workers,
+                queue_depth: cfg.queue_depth,
+                fleet_scrape_interval: None,
+                ..CoordServerConfig::default()
+            };
+            let server = CoordServer::bind("127.0.0.1:0", coord_cfg, Arc::new(cluster))
+                .expect("bind ephemeral port");
+            let addr = server.local_addr().expect("local addr");
+            let stop = server.stop_handle();
+            std::thread::scope(|scope| {
+                let server = &server;
+                let handle = scope.spawn(move || server.run(None));
+                body(addr);
+                stop.stop();
+                handle.join().expect("coord thread").expect("coord run");
+            });
+        }),
+    }
 }
 
 #[test]
@@ -137,65 +197,72 @@ fn tight_deadline_yields_typed_partial_within_budget() {
 #[test]
 fn full_queue_sheds_with_typed_overloaded_response() {
     let (grid, db) = corpus_db(200);
-    let cfg = ServerConfig {
-        workers: 1,
-        queue_depth: 0, // every request sheds — deterministic overload
-        ..ServerConfig::default()
-    };
-    with_daemon(&db, &grid, cfg, |addr| {
-        let mut client = Client::connect(addr, Duration::from_secs(10)).unwrap();
-        let q = db.get(0).to_histogram();
-        let outcome = client.knn(&q, 5, 0).unwrap();
-        let Outcome::Overloaded { queue_depth, stats } = outcome else {
-            panic!("queue depth 0 must shed, got {outcome:?}");
+    for front in FRONT_ENDS {
+        let cfg = ServerConfig {
+            workers: 1,
+            queue_depth: 0, // every request sheds — deterministic overload
+            ..ServerConfig::default()
         };
-        assert_eq!(queue_depth, 0);
-        assert!(
-            stats.degradations.iter().any(|n| n == OVERLOAD_NOTE),
-            "shed must be recorded in QueryStats::degradations: {:?}",
-            stats.degradations
-        );
-    });
+        with_front_end(front, &db, &grid, cfg, |addr| {
+            let mut client = Client::connect(addr, Duration::from_secs(10)).unwrap();
+            let q = db.get(0).to_histogram();
+            let outcome = client.knn(&q, 5, 0).unwrap();
+            let Outcome::Overloaded { queue_depth, stats } = outcome else {
+                panic!("{front:?}: queue depth 0 must shed, got {outcome:?}");
+            };
+            assert_eq!(queue_depth, 0);
+            assert_eq!(stats.db_size, db.len(), "{front:?}");
+            assert!(
+                stats.degradations.iter().any(|n| n == OVERLOAD_NOTE),
+                "shed must be recorded in QueryStats::degradations: {:?}",
+                stats.degradations
+            );
+        });
+    }
 }
 
 #[test]
 fn malformed_bytes_get_typed_error_and_daemon_survives() {
     let (grid, db) = corpus_db(100);
-    with_daemon(&db, &grid, ServerConfig::default(), |addr| {
-        wait_healthy(addr);
+    for front in FRONT_ENDS {
+        with_front_end(front, &db, &grid, ServerConfig::default(), |addr| {
+            wait_healthy(addr);
 
-        // Raw socket speaking HTTP at the daemon.
-        let mut raw = TcpStream::connect(addr).unwrap();
-        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        raw.write_all(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut buf = Vec::new();
-        let _ = raw.read_to_end(&mut buf); // server answers Error, closes
-        assert!(
-            buf.starts_with(b"EMDQ"),
-            "server should answer with a protocol frame, got {buf:?}"
-        );
+            // Raw socket speaking HTTP at the daemon.
+            let mut raw = TcpStream::connect(addr).unwrap();
+            raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            raw.write_all(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+            let mut buf = Vec::new();
+            let _ = raw.read_to_end(&mut buf); // server answers Error, closes
+            assert!(
+                buf.starts_with(b"EMDQ"),
+                "{front:?} should answer with a protocol frame, got {buf:?}"
+            );
 
-        // The daemon is still healthy for well-behaved clients.
-        let mut client = Client::connect(addr, Duration::from_secs(5)).unwrap();
-        assert!(client.health().is_ok());
-    });
+            // The daemon is still healthy for well-behaved clients.
+            let mut client = Client::connect(addr, Duration::from_secs(5)).unwrap();
+            assert!(client.health().is_ok());
+        });
+    }
 }
 
 #[test]
 fn drain_leaves_queued_work_answered() {
     let (grid, db) = corpus_db(150);
-    let cfg = ServerConfig {
-        workers: 2,
-        queue_depth: 8,
-        ..ServerConfig::default()
-    };
-    with_daemon(&db, &grid, cfg, |addr| {
-        wait_healthy(addr);
-        let q = db.get(1).to_histogram();
-        // A request in flight while the stop flag flips must still be
-        // answered (drain, not abort).
-        let mut client = Client::connect(addr, Duration::from_secs(10)).unwrap();
-        let outcome = client.knn(&q, 5, 0).unwrap();
-        assert!(matches!(outcome, Outcome::Complete { .. }));
-    });
+    for front in FRONT_ENDS {
+        let cfg = ServerConfig {
+            workers: 2,
+            queue_depth: 8,
+            ..ServerConfig::default()
+        };
+        with_front_end(front, &db, &grid, cfg, |addr| {
+            wait_healthy(addr);
+            let q = db.get(1).to_histogram();
+            // A request in flight while the stop flag flips must still be
+            // answered (drain, not abort).
+            let mut client = Client::connect(addr, Duration::from_secs(10)).unwrap();
+            let outcome = client.knn(&q, 5, 0).unwrap();
+            assert!(matches!(outcome, Outcome::Complete { .. }), "{front:?}");
+        });
+    }
 }

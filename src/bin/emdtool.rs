@@ -123,12 +123,7 @@ fn get_num<T: std::str::FromStr>(
 }
 
 fn grid_for(dims: usize) -> Result<BinGrid, String> {
-    Ok(match dims {
-        16 => BinGrid::new(vec![4, 2, 2]),
-        32 => BinGrid::new(vec![4, 4, 2]),
-        64 => BinGrid::new(vec![4, 4, 4]),
-        other => return Err(format!("unsupported --dims {other} (use 16, 32, or 64)")),
-    })
+    BinGrid::for_bins(dims).ok_or_else(|| format!("unsupported --dims {dims} (use 16, 32, or 64)"))
 }
 
 fn generate(flags: &HashMap<String, String>) -> Result<(), String> {
