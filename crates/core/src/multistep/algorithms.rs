@@ -208,6 +208,9 @@ pub fn gemini_knn_within(
             stats,
         });
     }
+    // No answer holds more rows than the database: `k` arrives off the
+    // wire unchecked and sizes the allocations below.
+    let k = k.min(db.len());
 
     let mut source_time = Duration::ZERO;
     let mut exact_time = Duration::ZERO;
@@ -365,6 +368,7 @@ pub fn optimal_knn_relaxed_within(
             stats,
         });
     }
+    let k = k.min(db.len()); // untrusted, and sizes the allocations below
 
     let mut source_time = Duration::ZERO;
     let mut filter_times: Vec<Duration> = vec![Duration::ZERO; intermediates.len()];
@@ -376,6 +380,9 @@ pub fn optimal_knn_relaxed_within(
     let exact_kernel = exact.prepare(q);
 
     let mut cursor = timed(&mut source_time, || source.ranking(q))?;
+    // The candidate source is the first `filter_evaluations` entry; its
+    // count is known only once the cursor is drained.
+    stats.add_filter_evaluations(source.name(), 0);
     // Max-heap of the best k exact distances seen so far.
     let mut best: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
 
@@ -461,6 +468,14 @@ pub fn linear_scan_knn_within(
         db_size: db.len(),
         ..Default::default()
     };
+    if k == 0 || db.is_empty() {
+        stats.set_elapsed(start.elapsed());
+        return Ok(QueryResult {
+            items: Vec::new(),
+            stats,
+        });
+    }
+    let k = k.min(db.len()); // untrusted, and sizes the allocations below
     let mut exact_time = Duration::ZERO;
     let exact_kernel = exact.prepare(q);
     let mut best: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
@@ -659,6 +674,16 @@ mod tests {
         let q = random_histogram(&mut StdRng::seed_from_u64(9500), grid.num_bins());
         let r = optimal_knn(&source, &db, &q, 5, &[&im], &exact).unwrap();
         let s = &r.stats;
+        // The candidate source leads the filter counts, k-NN and range.
+        let stages = |s: &QueryStats| -> Vec<String> {
+            s.filter_evaluations
+                .iter()
+                .map(|(n, _)| n.clone())
+                .collect()
+        };
+        assert_eq!(stages(s), [source.name(), "LB_IM"]);
+        let range = range_query(&source, &db, &q, 0.2, &[&im], &exact).unwrap();
+        assert_eq!(stages(&range.stats), [source.name(), "LB_IM"]);
         // All three stages appear, and exact refinement took real time.
         assert!(s.stage_time(stage::CANDIDATES).is_some());
         assert!(s.stage_time("LB_IM").is_some());

@@ -311,12 +311,12 @@ fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
 /// its `<db_path>.emdc` sidecar, which is trusted only while it opens
 /// cleanly and its dims and row count equal the `.emdb` header's (the
 /// header alone is read, not the rows; a regenerated database of the
-/// same shape is not detected, and damage behind an intact header and
-/// meta page surfaces at query time, as with [`open_paged`]). A missing,
-/// stale or unopenable sidecar is reported through `log` and rebuilt
-/// from the row file via a temporary file and a rename, so a crash
-/// mid-conversion never leaves a half-written sidecar under the final
-/// name.
+/// same shape is not detected, and a flipped bit in a block page
+/// surfaces at query time as a checksum error, as with [`open_paged`]).
+/// A missing, stale or unopenable sidecar — one truncated anywhere
+/// included — is reported through `log` and rebuilt from the row file
+/// via a temporary file and a rename, so a crash mid-conversion never
+/// leaves a half-written sidecar under the final name.
 ///
 /// Returns the database and the path of the column file it reads.
 pub fn open_paged_or_convert(

@@ -38,18 +38,11 @@ use earthmover_obs::TraceContext;
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
+use crate::schema::{ext, request, response};
+pub use crate::schema::{MIN_VERSION, VERSION};
+
 /// Leading bytes of every frame. "EMDQ" = Earth Mover's Distance Query.
 pub const MAGIC: [u8; 4] = *b"EMDQ";
-
-/// Highest protocol revision this build speaks. Version 2 adds tagged
-/// trailing extension blocks (trace context, per-shard provenance);
-/// frames that carry no extension are still emitted as version 1, so
-/// pre-extension peers interoperate until a frame actually needs the
-/// new layout.
-pub const VERSION: u8 = 2;
-
-/// Oldest protocol revision still accepted on read.
-pub const MIN_VERSION: u8 = 1;
 
 /// Bytes in a frame header (magic + version + type + request id + len).
 pub const HEADER_LEN: usize = 18;
@@ -121,41 +114,6 @@ impl From<io::Error> for WireError {
             WireError::Io(e)
         }
     }
-}
-
-/// Frame type codes. Requests occupy `0x01..=0x05`; responses set the
-/// high bit.
-mod code {
-    pub const KNN: u8 = 0x01;
-    pub const RANGE: u8 = 0x02;
-    pub const HEALTH: u8 = 0x03;
-    pub const STATS: u8 = 0x04;
-    pub const SHUTDOWN: u8 = 0x05;
-
-    pub const RESULTS: u8 = 0x81;
-    pub const DEADLINE_EXCEEDED: u8 = 0x82;
-    pub const OVERLOADED: u8 = 0x83;
-    pub const HEALTH_REPORT: u8 = 0x84;
-    pub const STATS_REPORT: u8 = 0x85;
-    pub const SHUTDOWN_STARTED: u8 = 0x86;
-    pub const ERROR: u8 = 0x87;
-}
-
-/// Extension tags in the version-2 trailing block area. Unknown tags
-/// are skipped on decode, so the space can grow without another
-/// version bump.
-mod ext {
-    /// Request-side distributed trace context (17-byte body:
-    /// trace id u64 LE, parent span id u64 LE, flags u8 bit0=sampled).
-    pub const TRACE: u8 = 0x01;
-    /// Response-side per-shard [`super::ShardProvenance`] list.
-    pub const PROVENANCE: u8 = 0x02;
-    /// Request-side retrieval mode (9-byte body: mode code u8,
-    /// epsilon f64 LE). Absent means exact retrieval.
-    pub const MODE: u8 = 0x03;
-    /// Response-side achieved retrieval tier (17-byte body: mode code
-    /// u8, epsilon f64 LE, guaranteed recall f64 LE).
-    pub const MODE_INFO: u8 = 0x04;
 }
 
 /// A client-to-server message.
@@ -704,7 +662,7 @@ fn request_payload(req: &Request) -> Result<(u8, Vec<u8>), WireError> {
             put_u64(&mut p, *deadline_us);
             put_u32(&mut p, hist.len() as u32);
             p.extend_from_slice(&hist);
-            (code::KNN, p)
+            (request::KNN, p)
         }
         Request::Range {
             epsilon,
@@ -717,11 +675,11 @@ fn request_payload(req: &Request) -> Result<(u8, Vec<u8>), WireError> {
             put_u64(&mut p, *deadline_us);
             put_u32(&mut p, hist.len() as u32);
             p.extend_from_slice(&hist);
-            (code::RANGE, p)
+            (request::RANGE, p)
         }
-        Request::Health => (code::HEALTH, Vec::new()),
-        Request::Stats => (code::STATS, Vec::new()),
-        Request::Shutdown => (code::SHUTDOWN, Vec::new()),
+        Request::Health => (request::HEALTH, Vec::new()),
+        Request::Stats => (request::STATS, Vec::new()),
+        Request::Shutdown => (request::SHUTDOWN, Vec::new()),
     };
     Ok((code, payload))
 }
@@ -755,9 +713,9 @@ pub fn encode_response(request_id: u64, resp: &Response) -> Vec<u8> {
                 version = VERSION;
             }
             let code = if matches!(resp, Response::Results { .. }) {
-                code::RESULTS
+                response::RESULTS
             } else {
-                code::DEADLINE_EXCEEDED
+                response::DEADLINE_EXCEEDED
             };
             (code, p)
         }
@@ -767,7 +725,7 @@ pub fn encode_response(request_id: u64, resp: &Response) -> Vec<u8> {
             if stats_payload(&mut p, stats) {
                 version = VERSION;
             }
-            (code::OVERLOADED, p)
+            (response::OVERLOADED, p)
         }
         Response::HealthReport {
             draining,
@@ -780,19 +738,19 @@ pub fn encode_response(request_id: u64, resp: &Response) -> Vec<u8> {
             put_u64(&mut p, *db_size);
             put_u32(&mut p, *dims);
             put_u64(&mut p, *uptime_ms);
-            (code::HEALTH_REPORT, p)
+            (response::HEALTH_REPORT, p)
         }
         Response::StatsReport { prometheus } => {
             let mut p = Vec::new();
             put_string(&mut p, prometheus);
-            (code::STATS_REPORT, p)
+            (response::STATS_REPORT, p)
         }
-        Response::ShutdownStarted => (code::SHUTDOWN_STARTED, Vec::new()),
+        Response::ShutdownStarted => (response::SHUTDOWN_STARTED, Vec::new()),
         Response::Error { code, message } => {
             let mut p = Vec::new();
             p.push(code.to_u8());
             put_string(&mut p, message);
-            (code::ERROR, p)
+            (response::ERROR, p)
         }
     };
     frame(version, code, request_id, payload)
@@ -838,7 +796,7 @@ impl RawFrame {
     pub fn into_request_ext(self) -> Result<(Request, RequestExt), WireError> {
         let mut cur = Cur::new(&self.payload);
         let req = match self.type_code {
-            code::KNN => {
+            request::KNN => {
                 let k = cur.u32()?;
                 let deadline_us = cur.u64()?;
                 let hist_len = cur.u32()? as usize;
@@ -849,7 +807,7 @@ impl RawFrame {
                     histogram,
                 }
             }
-            code::RANGE => {
+            request::RANGE => {
                 let epsilon = cur.f64()?;
                 let deadline_us = cur.u64()?;
                 let hist_len = cur.u32()? as usize;
@@ -863,9 +821,9 @@ impl RawFrame {
                     histogram,
                 }
             }
-            code::HEALTH => Request::Health,
-            code::STATS => Request::Stats,
-            code::SHUTDOWN => Request::Shutdown,
+            request::HEALTH => Request::Health,
+            request::STATS => Request::Stats,
+            request::SHUTDOWN => Request::Shutdown,
             other => return Err(WireError::UnknownType(other)),
         };
         let exts = get_extensions(&mut cur)?;
@@ -884,22 +842,22 @@ impl RawFrame {
     pub fn into_response(self) -> Result<Response, WireError> {
         let mut cur = Cur::new(&self.payload);
         let mut resp = match self.type_code {
-            code::RESULTS => {
+            response::RESULTS => {
                 let items = get_items(&mut cur)?;
                 let stats = get_stats(&mut cur)?;
                 Response::Results { items, stats }
             }
-            code::DEADLINE_EXCEEDED => {
+            response::DEADLINE_EXCEEDED => {
                 let items = get_items(&mut cur)?;
                 let stats = get_stats(&mut cur)?;
                 Response::DeadlineExceeded { items, stats }
             }
-            code::OVERLOADED => {
+            response::OVERLOADED => {
                 let queue_depth = cur.u32()?;
                 let stats = get_stats(&mut cur)?;
                 Response::Overloaded { queue_depth, stats }
             }
-            code::HEALTH_REPORT => {
+            response::HEALTH_REPORT => {
                 let draining = cur.u8()? != 0;
                 let db_size = cur.u64()?;
                 let dims = cur.u32()?;
@@ -911,11 +869,11 @@ impl RawFrame {
                     uptime_ms,
                 }
             }
-            code::STATS_REPORT => Response::StatsReport {
+            response::STATS_REPORT => Response::StatsReport {
                 prometheus: cur.string()?,
             },
-            code::SHUTDOWN_STARTED => Response::ShutdownStarted,
-            code::ERROR => {
+            response::SHUTDOWN_STARTED => Response::ShutdownStarted,
+            response::ERROR => {
                 let code = ErrorCode::from_u8(cur.u8()?)?;
                 let message = cur.string()?;
                 Response::Error { code, message }

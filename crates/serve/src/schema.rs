@@ -1,75 +1,94 @@
-//! Machine-readable wire-schema registry.
+//! The wire-schema registry: the one definition of the EMDQ version
+//! window, frame-type codes and extension tags.
 //!
-//! [`protocol`](crate::protocol) defines the EMDQ framing — version
-//! byte, frame-type codes, extension tags — as private constants next
-//! to the encode/decode paths that use them. This module states the
-//! same facts as *data*, so that tooling can cross-check the codec
-//! without parsing it:
+//! Each family is written once, as a list. The list yields both the
+//! `u8` constants the codec in [`protocol`](crate::protocol) matches on
+//! and the `(name, value)` table `tests/protocol.rs` iterates to
+//! round-trip every frame kind × extension tag — so the codec and the
+//! registry cannot disagree, and a row added here fails that test
+//! until the codec carries it.
 //!
-//! - `xlint`'s `wire_schema` rule extracts the constants from
-//!   `protocol.rs` at lint time and diffs them against this registry
-//!   (both directions), flags encoder/decoder asymmetry, and requires
-//!   every entry to be documented in DESIGN.md §12 — a new frame kind
-//!   or tag cannot land half-wired or undocumented;
-//! - `tests/protocol.rs` iterates the registry to round-trip every
-//!   frame kind × extension tag through encode/decode, so the registry
-//!   and the codec cannot drift silently.
-//!
-//! Adding a frame or tag therefore means touching three places on
-//! purpose: `protocol.rs` (the codec), this file (the registry), and
-//! DESIGN.md §12 (the contract for other implementers).
+//! Adding a frame or tag therefore means touching two places on
+//! purpose: the code (one row here plus its codec arms in
+//! `protocol.rs`) and DESIGN.md §12 (the contract for other
+//! implementers), whose mention a test in `tests/protocol.rs` demands.
 
-/// Protocol revision this registry describes. Must equal
-/// [`crate::protocol::VERSION`]; the `wire_schema` lint and a unit test
-/// below both enforce the equality.
-pub const SCHEMA_VERSION: u8 = 2;
+/// Highest protocol revision this build speaks. Version 2 adds tagged
+/// trailing extension blocks (trace context, per-shard provenance);
+/// frames that carry no extension are still emitted as version 1, so
+/// pre-extension peers interoperate until a frame actually needs the
+/// new layout.
+pub const VERSION: u8 = 2;
 
-/// Oldest revision still accepted on read. Must equal
-/// [`crate::protocol::MIN_VERSION`].
-pub const SCHEMA_MIN_VERSION: u8 = 1;
+/// Oldest protocol revision still accepted on read.
+pub const MIN_VERSION: u8 = 1;
 
-/// Client-to-server frame kinds as `(constant name, wire code)`.
-/// Request codes never set the high bit.
-pub const REQUEST_FRAMES: &[(&str, u8)] = &[
-    ("KNN", 0x01),
-    ("RANGE", 0x02),
-    ("HEALTH", 0x03),
-    ("STATS", 0x04),
-    ("SHUTDOWN", 0x05),
-];
+/// Defines one family of wire constants: the `(name, value)` table and
+/// a module holding the same values as `u8` constants.
+macro_rules! family {
+    (
+        $(#[$table_doc:meta])*
+        $table:ident / $module:ident {
+            $($(#[$doc:meta])* $name:ident = $value:literal,)*
+        }
+    ) => {
+        $(#[$table_doc])*
+        pub const $table: &[(&str, u8)] = &[$((stringify!($name), $value)),*];
 
-/// Server-to-client frame kinds as `(constant name, wire code)`.
-/// Response codes always set the high bit.
-pub const RESPONSE_FRAMES: &[(&str, u8)] = &[
-    ("RESULTS", 0x81),
-    ("DEADLINE_EXCEEDED", 0x82),
-    ("OVERLOADED", 0x83),
-    ("HEALTH_REPORT", 0x84),
-    ("STATS_REPORT", 0x85),
-    ("SHUTDOWN_STARTED", 0x86),
-    ("ERROR", 0x87),
-];
+        pub(crate) mod $module {
+            $($(#[$doc])* pub const $name: u8 = $value;)*
+        }
+    };
+}
 
-/// Version-2 trailing extension-block tags as `(constant name, tag)`.
-/// Unknown tags are skipped whole on decode, so this space can grow
-/// without a version bump.
-pub const EXTENSION_TAGS: &[(&str, u8)] = &[
-    ("TRACE", 0x01),
-    ("PROVENANCE", 0x02),
-    ("MODE", 0x03),
-    ("MODE_INFO", 0x04),
-];
+family! {
+    /// Client-to-server frame kinds as `(constant name, wire code)`.
+    /// Request codes never set the high bit.
+    REQUEST_FRAMES / request {
+        KNN = 0x01,
+        RANGE = 0x02,
+        HEALTH = 0x03,
+        STATS = 0x04,
+        SHUTDOWN = 0x05,
+    }
+}
+
+family! {
+    /// Server-to-client frame kinds as `(constant name, wire code)`.
+    /// Response codes always set the high bit.
+    RESPONSE_FRAMES / response {
+        RESULTS = 0x81,
+        DEADLINE_EXCEEDED = 0x82,
+        OVERLOADED = 0x83,
+        HEALTH_REPORT = 0x84,
+        STATS_REPORT = 0x85,
+        SHUTDOWN_STARTED = 0x86,
+        ERROR = 0x87,
+    }
+}
+
+family! {
+    /// Version-2 trailing extension-block tags as `(constant name, tag)`.
+    /// Unknown tags are skipped whole on decode, so this space can grow
+    /// without a version bump.
+    EXTENSION_TAGS / ext {
+        /// Request-side distributed trace context (17-byte body:
+        /// trace id u64 LE, parent span id u64 LE, flags u8 bit0=sampled).
+        TRACE = 0x01,
+        /// Response-side per-shard `ShardProvenance` list.
+        PROVENANCE = 0x02,
+        /// Request-side retrieval mode (9-byte body: mode code u8,
+        /// epsilon f64 LE). Absent means exact retrieval.
+        MODE = 0x03,
+        /// Response-side achieved retrieval tier (17-byte body: mode code
+        /// u8, epsilon f64 LE, guaranteed recall f64 LE).
+        MODE_INFO = 0x04,
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol;
-
-    #[test]
-    fn registry_matches_protocol_version() {
-        assert_eq!(SCHEMA_VERSION, protocol::VERSION);
-        assert_eq!(SCHEMA_MIN_VERSION, protocol::MIN_VERSION);
-    }
 
     #[test]
     fn codes_are_unique_and_classified_by_high_bit() {

@@ -2,12 +2,13 @@
 //! port: result parity with the in-process engine, keep-alive, health
 //! and Prometheus stats, deadline budgets, admission-control shedding,
 //! malformed-bytes hardening, and drain-then-shutdown. The admission
-//! tests run against both front ends of the shared daemon runtime.
+//! and oversized-`k` tests run against both front ends of the shared
+//! daemon runtime.
 
 use earthmover_core::deadline::DEADLINE_NOTE;
 use earthmover_core::ground::BinGrid;
 use earthmover_core::pipeline::QueryEngine;
-use earthmover_core::HistogramDb;
+use earthmover_core::{HistogramDb, RetrievalMode, SketchTier};
 use earthmover_imaging::corpus::{CorpusConfig, SyntheticCorpus};
 use earthmover_serve::protocol::OVERLOAD_NOTE;
 use earthmover_serve::{
@@ -40,16 +41,17 @@ fn wait_healthy(addr: SocketAddr) {
     panic!("daemon on {addr} never became healthy");
 }
 
-/// Runs `body` against a live daemon, then stops it and joins the
-/// server thread (which is itself the drain-shutdown assertion: a hang
-/// here means drain is broken).
+/// Runs `body` against a live daemon (sketch tier attached), then stops
+/// it and joins the server thread (which is itself the drain-shutdown
+/// assertion: a hang here means drain is broken).
 fn with_daemon(db: &HistogramDb, grid: &BinGrid, cfg: ServerConfig, body: impl FnOnce(SocketAddr)) {
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind ephemeral port");
     let addr = server.local_addr().expect("local addr");
     let stop = server.stop_handle();
     std::thread::scope(|scope| {
         let server = &server;
-        let handle = scope.spawn(move || server.run(db, grid, None));
+        let tier = SketchTier::build(db, grid, 7).expect("sketch tier");
+        let handle = scope.spawn(move || server.run_with(db, grid, None, Some(tier)));
         body(addr);
         stop.stop();
         handle.join().expect("server thread").expect("server run");
@@ -163,6 +165,38 @@ fn daemon_knn_matches_local_engine_and_serves_keepalive() {
         // Drain via the wire protocol.
         client.shutdown().unwrap();
     });
+}
+
+/// `k` is read off the wire unchecked. Asking for more neighbours than
+/// the database holds returns every row on every tier — `k` must not
+/// size an allocation (`u32::MAX` used to abort the process) — and the
+/// daemon keeps serving.
+#[test]
+fn k_beyond_the_database_returns_every_row() {
+    let (grid, db) = corpus_db(60);
+    let q = db.get(3).to_histogram();
+    let modes = [
+        None,
+        Some(RetrievalMode::Approximate { epsilon: 0.25 }),
+        Some(RetrievalMode::SketchOnly),
+    ];
+    for front in FRONT_ENDS {
+        with_front_end(front, &db, &grid, ServerConfig::default(), |addr| {
+            wait_healthy(addr);
+            let mut client = Client::connect(addr, Duration::from_secs(30)).unwrap();
+            for mode in modes {
+                let outcome = match mode {
+                    None => client.knn(&q, u32::MAX, 0),
+                    Some(mode) => client.knn_mode(&q, u32::MAX, 0, mode),
+                };
+                let Outcome::Complete { items, .. } = outcome.unwrap() else {
+                    panic!("{front:?} {mode:?}: expected a complete answer");
+                };
+                assert_eq!(items.len(), db.len(), "{front:?} {mode:?}");
+            }
+            assert_eq!(client.health().unwrap().db_size, db.len() as u64);
+        });
+    }
 }
 
 #[test]

@@ -704,3 +704,36 @@ fn hostile_item_count_is_rejected() {
         .unwrap();
     assert!(matches!(raw.into_response(), Err(WireError::BadPayload(_))));
 }
+
+/// DESIGN.md §12 is the contract other implementers read: it must name
+/// every frame kind (backticked, lowercase) and every extension tag
+/// value (`0x..`) the schema registry lists, so a row added to
+/// `schema.rs` fails here until the section documents it.
+#[test]
+fn design_section_12_documents_every_frame_and_tag() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
+    let design = std::fs::read_to_string(path).expect("DESIGN.md at the workspace root");
+    let start = design
+        .find("\n## 12. ")
+        .expect("DESIGN.md has a section 12");
+    let section = &design[start + 1..];
+    let section = &section[..section.find("\n## ").unwrap_or(section.len())];
+
+    let mut missing = Vec::new();
+    for (name, _) in REQUEST_FRAMES.iter().chain(RESPONSE_FRAMES) {
+        let needle = format!("`{}`", name.to_lowercase());
+        if !section.contains(&needle) {
+            missing.push(needle);
+        }
+    }
+    for (name, tag) in EXTENSION_TAGS {
+        let needle = format!("{tag:#04x}");
+        if !section.contains(&needle) {
+            missing.push(format!("{needle} ({name})"));
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "DESIGN.md §12 does not document: {missing:?}"
+    );
+}

@@ -135,6 +135,9 @@ impl<S: Sketch> SketchIndex<S> {
     /// ascending by `(distance, id)`. One tiled pass over the arena.
     pub fn knn(&self, query_bins: &[f64], k: usize) -> Result<Vec<(usize, f64)>, SketchError> {
         let prepared = self.prepare(query_bins)?;
+        // No answer holds more rows than the index: `k` arrives off the
+        // wire unchecked and sizes the heap.
+        let k = k.min(self.rows());
         let mut best: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
         let mut dists = [0.0f64; TILE];
         if k > 0 {

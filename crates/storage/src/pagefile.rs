@@ -1,5 +1,5 @@
-//! Fixed-size page I/O over a single file, with a checksummed header,
-//! per-page checksums, and a free-page list.
+//! Fixed-size page I/O over a single append-only file, with a
+//! checksummed header and per-page checksums.
 //!
 //! All I/O goes through the [`Vfs`] abstraction so the same code runs on
 //! the production `std::fs` backend and the fault-injecting test backend
@@ -7,31 +7,26 @@
 //!
 //! # On-disk format
 //!
-//! Page 0 is the header (magic, version, page count, free-list head,
-//! header CRC); pages 1.. are user pages. Freed pages are chained through
-//! their first 4 bytes and reused before the file grows.
+//! Page 0 is the header (magic, version, page count, 4 reserved bytes
+//! written as `u32::MAX`, header CRC); pages 1.. are user pages, handed
+//! out once each in ascending order and never freed.
 //!
-//! Two format versions exist:
-//!
-//! * **v1** (legacy): physical page = [`PAGE_SIZE`] bytes, no per-page
-//!   integrity. Still readable and writable for existing files.
-//! * **v2** (current, written by [`PageFile::create`]): every physical
-//!   page carries an 8-byte trailer — a CRC-32 over `page_id ‖ content`
-//!   plus 4 reserved bytes. Covering the page id catches misdirected
-//!   writes, not just bit rot. [`PageFile::read_page`] verifies the
-//!   checksum and returns [`StorageError::PageChecksum`] on mismatch;
-//!   [`PageFile::open_with_recovery`] scans the whole file up front and
-//!   reports every corrupt page.
+//! There is one format, version 2: every physical page carries an
+//! 8-byte trailer — a CRC-32 over `page_id ‖ content` plus 4 reserved
+//! bytes. Covering the page id catches misdirected writes, not just bit
+//! rot. [`PageFile::read_page`] verifies the checksum and returns
+//! [`StorageError::PageChecksum`] on mismatch;
+//! [`PageFile::open_with_recovery`] scans the whole file up front and
+//! reports every corrupt page.
 //!
 //! # Crash safety
 //!
-//! [`PageFile::allocate`] and [`PageFile::free`] no longer write the
-//! header eagerly; they mark it dirty, and [`PageFile::sync`] performs
-//! the crash-safe ordering: flush data pages, fsync, then write the
-//! header and fsync again. A crash between those fsyncs leaves the old
-//! header pointing at the old (fully durable) state; at worst, freshly
-//! grown pages past `num_pages` are leaked file space, never dangling
-//! references.
+//! [`PageFile::allocate`] does not write the header; it marks it dirty,
+//! and [`PageFile::sync`] performs the crash-safe ordering: flush data
+//! pages, fsync, then write the header and fsync again. A crash between
+//! those fsyncs leaves the old header pointing at the old (fully
+//! durable) state; at worst, freshly grown pages past `num_pages` are
+//! leaked file space, never dangling references.
 
 use crate::vfs::{StdVfs, Vfs, VfsFile};
 use earthmover_obs as obs;
@@ -42,13 +37,14 @@ use std::path::Path;
 pub const PAGE_SIZE: usize = 4096;
 
 const MAGIC: u32 = 0x454D_4450; // "EMDP"
-/// Current (written) format version.
+/// The format version.
 const VERSION: u32 = 2;
-/// Legacy format version (no per-page checksums), still readable.
-const VERSION_V1: u32 = 1;
-/// Per-page trailer in v2: CRC-32 (4 bytes) + reserved (4 bytes).
+/// Per-page trailer: CRC-32 (4 bytes) + reserved (4 bytes).
 const TRAILER: usize = 8;
-/// Sentinel for "no page" in free-list links.
+/// Physical bytes per page slot: content plus trailer.
+const PHYS_PAGE: usize = PAGE_SIZE + TRAILER;
+/// Header bytes 12..16, reserved (the free-list head of a retired
+/// allocator, whose "no page" sentinel this is).
 const NO_PAGE: u32 = u32::MAX;
 
 /// Identifier of a page within a [`PageFile`] (page 0 is the header and
@@ -111,12 +107,11 @@ impl From<std::io::Error> for StorageError {
 /// Result of scanning a page file for corruption at open time.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
-    /// Format version of the file (1 or 2).
+    /// Format version of the file.
     pub version: u32,
     /// Total pages according to the header, including the header page.
     pub num_pages: u32,
-    /// Pages whose checksum failed or that could not be read. Empty for
-    /// v1 files (which carry no per-page integrity) unless truncated.
+    /// Pages whose checksum failed or that could not be read.
     pub corrupt_pages: Vec<PageId>,
 }
 
@@ -127,36 +122,30 @@ impl RecoveryReport {
     }
 }
 
-/// A file of [`PAGE_SIZE`]-byte pages with allocation and a free list.
+/// A file of [`PAGE_SIZE`]-byte pages that grows one page at a time.
 pub struct PageFile {
     file: Box<dyn VfsFile>,
     /// Total pages including the header page.
     num_pages: u32,
-    /// Head of the free-page chain, or [`NO_PAGE`].
-    free_head: u32,
-    /// Format version of this file (1 or 2).
-    version: u32,
-    /// Whether `num_pages`/`free_head` changed since the last header
-    /// write. The header is only written by [`PageFile::sync`], after
-    /// the data pages it describes are durable.
+    /// Whether `num_pages` changed since the last header write. The
+    /// header is only written by [`PageFile::sync`], after the data
+    /// pages it describes are durable.
     header_dirty: bool,
 }
 
 impl PageFile {
-    /// Creates a new v2 page file on the standard filesystem, truncating
+    /// Creates a new page file on the standard filesystem, truncating
     /// any existing file at `path`.
     pub fn create(path: impl AsRef<Path>) -> Result<Self, StorageError> {
         Self::create_with(&StdVfs, path.as_ref())
     }
 
-    /// Creates a new v2 page file on the given VFS backend.
+    /// Creates a new page file on the given VFS backend.
     pub fn create_with(vfs: &dyn Vfs, path: &Path) -> Result<Self, StorageError> {
         let file = vfs.create(path)?;
         let mut pf = PageFile {
             file,
             num_pages: 1,
-            free_head: NO_PAGE,
-            version: VERSION,
             header_dirty: false,
         };
         pf.write_header()?;
@@ -164,22 +153,30 @@ impl PageFile {
     }
 
     /// Opens an existing page file on the standard filesystem, validating
-    /// its header. Accepts both v1 and v2 files.
+    /// its header.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StorageError> {
         Self::open_with(&StdVfs, path.as_ref())
     }
 
-    /// Opens an existing page file on the given VFS backend.
+    /// Opens an existing page file on the given VFS backend. A file
+    /// shorter than the pages its header claims is a
+    /// [`StorageError::BadHeader`]; a longer one is legal (pages grown
+    /// but not yet published by [`PageFile::sync`]).
     pub fn open_with(vfs: &dyn Vfs, path: &Path) -> Result<Self, StorageError> {
         let file = vfs.open(path)?;
         let mut pf = PageFile {
             file,
             num_pages: 0,
-            free_head: NO_PAGE,
-            version: VERSION,
             header_dirty: false,
         };
         pf.read_header()?;
+        let len = pf.file.len()?;
+        if len < pf.page_offset(PageId(pf.num_pages)) {
+            return Err(StorageError::BadHeader(format!(
+                "header claims {} pages, file holds {len} bytes",
+                pf.num_pages
+            )));
+        }
         Ok(pf)
     }
 
@@ -205,7 +202,7 @@ impl PageFile {
         let mut span = obs::span!("storage_recovery_scan");
         let mut pf = Self::open_with(vfs, path)?;
         let mut report = RecoveryReport {
-            version: pf.version,
+            version: VERSION,
             num_pages: pf.num_pages,
             corrupt_pages: Vec::new(),
         };
@@ -233,18 +230,8 @@ impl PageFile {
         self.num_pages
     }
 
-    /// On-disk format version of this file (1 or 2).
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// Physical bytes per page slot (content plus v2 trailer).
-    fn phys_page(&self) -> u64 {
-        (PAGE_SIZE + if self.version >= VERSION { TRAILER } else { 0 }) as u64
-    }
-
     fn page_offset(&self, id: PageId) -> u64 {
-        id.0 as u64 * self.phys_page()
+        id.0 as u64 * PHYS_PAGE as u64
     }
 
     /// CRC over `page_id ‖ content`, so a page written to the wrong slot
@@ -256,43 +243,32 @@ impl PageFile {
         crc.finish()
     }
 
-    /// Writes `content` to the physical slot of `id` (with trailer on
-    /// v2), without bounds checks. Used for all page writes including
-    /// the header.
+    /// Writes `content` and its trailer to the physical slot of `id`,
+    /// without bounds checks. Used for all page writes including the
+    /// header.
     fn write_page_raw(
         &mut self,
         id: PageId,
         content: &[u8; PAGE_SIZE],
     ) -> Result<(), StorageError> {
         obs::event!("storage_page_write", page = id.0);
-        let offset = self.page_offset(id);
-        if self.version >= VERSION {
-            let mut phys = [0u8; PAGE_SIZE + TRAILER];
-            phys[..PAGE_SIZE].copy_from_slice(content);
-            let crc = Self::page_crc(id, content);
-            phys[PAGE_SIZE..PAGE_SIZE + 4].copy_from_slice(&crc.to_le_bytes());
-            self.file.write_all_at(&phys, offset)?;
-        } else {
-            self.file.write_all_at(content, offset)?;
-        }
+        let mut phys = [0u8; PHYS_PAGE];
+        phys[..PAGE_SIZE].copy_from_slice(content);
+        let crc = Self::page_crc(id, content);
+        phys[PAGE_SIZE..PAGE_SIZE + 4].copy_from_slice(&crc.to_le_bytes());
+        self.file.write_all_at(&phys, self.page_offset(id))?;
         Ok(())
     }
 
-    /// Reads the physical slot of `id` into `buf`, verifying the v2
+    /// Reads the physical slot of `id` into `buf`, verifying the
     /// trailer checksum.
     fn read_page_raw(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
         obs::event!("storage_page_read", page = id.0);
-        let offset = self.page_offset(id);
-        if self.version >= VERSION {
-            let mut phys = [0u8; PAGE_SIZE + TRAILER];
-            self.file.read_exact_at(&mut phys, offset)?;
-            buf.copy_from_slice(&phys[..PAGE_SIZE]);
-            let stored = le_u32(&phys, PAGE_SIZE);
-            if stored != Self::page_crc(id, buf) {
-                return Err(StorageError::PageChecksum(id));
-            }
-        } else {
-            self.file.read_exact_at(buf, offset)?;
+        let mut phys = [0u8; PHYS_PAGE];
+        self.file.read_exact_at(&mut phys, self.page_offset(id))?;
+        buf.copy_from_slice(&phys[..PAGE_SIZE]);
+        if le_u32(&phys, PAGE_SIZE) != Self::page_crc(id, buf) {
+            return Err(StorageError::PageChecksum(id));
         }
         Ok(())
     }
@@ -300,9 +276,9 @@ impl PageFile {
     fn write_header(&mut self) -> Result<(), StorageError> {
         let mut page = [0u8; PAGE_SIZE];
         page[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-        page[4..8].copy_from_slice(&self.version.to_le_bytes());
+        page[4..8].copy_from_slice(&VERSION.to_le_bytes());
         page[8..12].copy_from_slice(&self.num_pages.to_le_bytes());
-        page[12..16].copy_from_slice(&self.free_head.to_le_bytes());
+        page[12..16].copy_from_slice(&NO_PAGE.to_le_bytes());
         let crc = crc32(&page[0..16]);
         page[16..20].copy_from_slice(&crc.to_le_bytes());
         self.write_page_raw(PageId(0), &page)?;
@@ -312,16 +288,15 @@ impl PageFile {
 
     fn read_header(&mut self) -> Result<(), StorageError> {
         let mut page = [0u8; PAGE_SIZE];
-        // The header's own CRC at bytes 16..20 authenticates it on both
-        // versions; the v2 page trailer is verified for data pages only,
-        // since the version isn't known until the header is parsed.
+        // The header's own CRC at bytes 16..20 authenticates it; the
+        // page trailer is verified for data pages only.
         self.file.read_exact_at(&mut page, 0)?;
         let magic = le_u32(&page, 0);
         if magic != MAGIC {
             return Err(StorageError::BadHeader("wrong magic".into()));
         }
         let version = le_u32(&page, 4);
-        if version != VERSION_V1 && version != VERSION {
+        if version != VERSION {
             return Err(StorageError::BadHeader(format!(
                 "unsupported version {version}"
             )));
@@ -330,34 +305,22 @@ impl PageFile {
         if stored_crc != crc32(&page[0..16]) {
             return Err(StorageError::HeaderChecksum);
         }
-        self.version = version;
         self.num_pages = le_u32(&page, 8);
-        self.free_head = le_u32(&page, 12);
         Ok(())
     }
 
-    /// Allocates a page: reuses the free list when possible, otherwise
-    /// grows the file. The page's previous contents are unspecified; the
-    /// caller overwrites it.
+    /// Allocates a page by growing the file with a zero page.
     ///
     /// The header is not written until [`PageFile::sync`]; a crash before
     /// then loses the allocation (the grown file space is leaked, never
     /// referenced).
     pub fn allocate(&mut self) -> Result<PageId, StorageError> {
-        if self.free_head != NO_PAGE {
-            let id = PageId(self.free_head);
-            let mut buf = [0u8; PAGE_SIZE];
-            self.read_page(id, &mut buf)?;
-            self.free_head = le_u32(&buf, 0);
-            self.header_dirty = true;
-            return Ok(id);
-        }
         let id = PageId(self.num_pages);
         let grown = self
             .num_pages
             .checked_add(1)
             .ok_or(StorageError::PageOutOfBounds(id))?;
-        // Extend the file with a zero page (checksummed on v2). Only
+        // Extend the file with a checksummed zero page. Only
         // count the page once the write succeeded, so a failed grow
         // (e.g. ENOSPC) leaves the file state consistent.
         let zero = [0u8; PAGE_SIZE];
@@ -367,17 +330,6 @@ impl PageFile {
         Ok(id)
     }
 
-    /// Returns a page to the free list.
-    pub fn free(&mut self, id: PageId) -> Result<(), StorageError> {
-        self.check_bounds(id)?;
-        let mut buf = [0u8; PAGE_SIZE];
-        buf[0..4].copy_from_slice(&self.free_head.to_le_bytes());
-        self.write_page(id, &buf)?;
-        self.free_head = id.0;
-        self.header_dirty = true;
-        Ok(())
-    }
-
     fn check_bounds(&self, id: PageId) -> Result<(), StorageError> {
         if id.0 == 0 || id.0 >= self.num_pages {
             return Err(StorageError::PageOutOfBounds(id));
@@ -385,13 +337,13 @@ impl PageFile {
         Ok(())
     }
 
-    /// Reads a page into `buf`, verifying its checksum on v2 files.
+    /// Reads a page into `buf`, verifying its checksum.
     pub fn read_page(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
         self.check_bounds(id)?;
         self.read_page_raw(id, buf)
     }
 
-    /// Writes a page from `buf` (with a fresh checksum on v2 files).
+    /// Writes a page from `buf` with a fresh checksum.
     pub fn write_page(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> Result<(), StorageError> {
         self.check_bounds(id)?;
         self.write_page_raw(id, buf)
@@ -510,26 +462,9 @@ mod tests {
         }
         let mut pf = PageFile::open(&path).unwrap();
         assert_eq!(pf.num_pages(), 3);
-        assert_eq!(pf.version(), 2);
         let mut back = [0u8; PAGE_SIZE];
         pf.read_page(PageId(1), &mut back).unwrap();
         assert_eq!(back[0], 9);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn free_list_reuses_pages() {
-        let path = temp_path("freelist.db");
-        let mut pf = PageFile::create(&path).unwrap();
-        let a = pf.allocate().unwrap();
-        let b = pf.allocate().unwrap();
-        pf.free(a).unwrap();
-        pf.free(b).unwrap();
-        // LIFO reuse: most recently freed first.
-        assert_eq!(pf.allocate().unwrap(), b);
-        assert_eq!(pf.allocate().unwrap(), a);
-        // No growth happened.
-        assert_eq!(pf.num_pages(), 3);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -565,6 +500,40 @@ mod tests {
             PageFile::open(&path),
             Err(StorageError::HeaderChecksum)
         ));
+        // Page count restored: a well-formed header (valid CRC) of the
+        // retired version 1.
+        bytes[9] ^= 0xFF;
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&bytes[0..16]);
+        bytes[16..20].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match PageFile::open(&path) {
+            Err(StorageError::BadHeader(msg)) => assert_eq!(msg, "unsupported version 1"),
+            other => panic!("expected BadHeader, got {:?}", other.map(|_| ())),
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn file_shorter_than_its_header_claims_is_rejected() {
+        let path = temp_path("short.db");
+        {
+            let mut pf = PageFile::create(&path).unwrap();
+            pf.allocate().unwrap();
+            pf.allocate().unwrap();
+            pf.sync().unwrap();
+            // Grown but unpublished: a longer file stays legal.
+            pf.allocate().unwrap();
+        }
+        assert_eq!(PageFile::open(&path).unwrap().num_pages(), 3);
+        let bytes = std::fs::read(&path).unwrap();
+        for cut in [3 * PHYS_PAGE - 1, 2 * PHYS_PAGE, PHYS_PAGE + 7] {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            assert!(
+                matches!(PageFile::open(&path), Err(StorageError::BadHeader(_))),
+                "cut at {cut}"
+            );
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -576,39 +545,6 @@ mod tests {
             PageFile::open(&path),
             Err(StorageError::BadHeader(_))
         ));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn v1_files_remain_readable_and_writable() {
-        // Hand-craft a v1 file: header + one data page, no trailers.
-        let path = temp_path("v1.db");
-        let mut bytes = vec![0u8; 2 * PAGE_SIZE];
-        bytes[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes()); // version 1
-        bytes[8..12].copy_from_slice(&2u32.to_le_bytes()); // num_pages
-        bytes[12..16].copy_from_slice(&NO_PAGE.to_le_bytes());
-        let crc = crc32(&bytes[0..16]);
-        bytes[16..20].copy_from_slice(&crc.to_le_bytes());
-        bytes[PAGE_SIZE + 33] = 77; // data in page 1
-        std::fs::write(&path, &bytes).unwrap();
-
-        let mut pf = PageFile::open(&path).unwrap();
-        assert_eq!(pf.version(), 1);
-        assert_eq!(pf.num_pages(), 2);
-        let mut back = [0u8; PAGE_SIZE];
-        pf.read_page(PageId(1), &mut back).unwrap();
-        assert_eq!(back[33], 77);
-
-        // Writing and growing keeps the v1 layout.
-        let id = pf.allocate().unwrap();
-        let page = [5u8; PAGE_SIZE];
-        pf.write_page(id, &page).unwrap();
-        pf.sync().unwrap();
-        let mut pf = PageFile::open(&path).unwrap();
-        assert_eq!(pf.version(), 1);
-        pf.read_page(id, &mut back).unwrap();
-        assert_eq!(back[0], 5);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -25,18 +25,12 @@ pub enum TokenKind {
     NumLit {
         /// Whether the literal is a floating-point literal.
         is_float: bool,
-        /// The literal as written (`0x81`, `1_000`, `2f64`, ...), so
-        /// rules can read constant values (e.g. wire-schema codes).
-        text: String,
     },
     /// A lifetime such as `'a` (distinct from char literals).
     Lifetime,
     /// A single punctuation character or one of the combined operators
     /// (`==`, `!=`, `::`, `..`, `->`, `=>`), stored as written.
     Punct(&'static str),
-    /// A doc comment (`///`, `//!`, `/** */`, `/*! */`). Kept in the
-    /// stream so the doc-coverage rule can see item/doc adjacency.
-    DocComment,
 }
 
 /// A token with its source position (1-based line and column).
@@ -65,8 +59,7 @@ pub struct Suppression {
 /// The lexed view of one source file.
 #[derive(Debug, Default)]
 pub struct LexedFile {
-    /// Token stream in source order (doc comments included, plain
-    /// comments stripped).
+    /// Token stream in source order, comments stripped.
     pub tokens: Vec<Token>,
     /// Suppression directives, in source order.
     pub suppressions: Vec<Suppression>,
@@ -142,8 +135,8 @@ impl<'a> Lexer<'a> {
                 c if c.is_whitespace() => {
                     self.bump();
                 }
-                '/' if self.peek(1) == Some('/') => self.line_comment(line, col),
-                '/' if self.peek(1) == Some('*') => self.block_comment(line, col),
+                '/' if self.peek(1) == Some('/') => self.line_comment(line),
+                '/' if self.peek(1) == Some('*') => self.block_comment(),
                 '"' => self.string(line, col),
                 'r' if matches!(self.peek(1), Some('"') | Some('#')) => {
                     if !self.raw_string_or_ident(line, col) {
@@ -166,12 +159,12 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn line_comment(&mut self, line: usize, col: usize) {
+    fn line_comment(&mut self, line: usize) {
         self.bump();
         self.bump(); // consume `//`
         let third = self.peek(0);
         // `///` (but not `////`, which rustdoc treats as plain) and `//!`
-        // are doc comments.
+        // are doc comments: prose, where a directive is only quoted.
         let is_doc = (third == Some('/') && self.peek(1) != Some('/')) || third == Some('!');
         let mut text = String::new();
         while let Some(c) = self.peek(0) {
@@ -181,19 +174,16 @@ impl<'a> Lexer<'a> {
             text.push(c);
             self.bump();
         }
-        if is_doc {
-            self.push(TokenKind::DocComment, line, col);
-        } else if let Some(sup) = parse_suppression(&text, line) {
-            self.suppressions.push(sup);
+        if !is_doc {
+            if let Some(sup) = parse_suppression(&text, line) {
+                self.suppressions.push(sup);
+            }
         }
     }
 
-    fn block_comment(&mut self, line: usize, col: usize) {
+    fn block_comment(&mut self) {
         self.bump();
         self.bump(); // consume `/*`
-        let is_doc = matches!(self.peek(0), Some('*') | Some('!'))
-            // `/**/` and `/***/`-style separators are not docs.
-            && !(self.peek(0) == Some('*') && matches!(self.peek(1), Some('*') | Some('/')));
         let mut depth = 1usize;
         while depth > 0 {
             match (self.peek(0), self.peek(1)) {
@@ -212,9 +202,6 @@ impl<'a> Lexer<'a> {
                 }
                 (None, _) => break,
             }
-        }
-        if is_doc {
-            self.push(TokenKind::DocComment, line, col);
         }
     }
 
@@ -326,7 +313,6 @@ impl<'a> Lexer<'a> {
     }
 
     fn number(&mut self, line: usize, col: usize) {
-        let start = self.pos;
         let mut is_float = false;
         // Integer part (also covers 0x/0b/0o prefixes well enough — any
         // alphanumeric run is consumed below).
@@ -377,8 +363,7 @@ impl<'a> Lexer<'a> {
             is_float = true;
             self.bump();
         }
-        let text: String = self.chars[start..self.pos].iter().collect();
-        self.push(TokenKind::NumLit { is_float, text }, line, col);
+        self.push(TokenKind::NumLit { is_float }, line, col);
     }
 
     fn ident(&mut self, line: usize, col: usize) {
@@ -479,7 +464,7 @@ fn parse_suppression(comment: &str, line: usize) -> Option<Suppression> {
 /// Marks every token that sits inside a `#[cfg(test)]`-gated item.
 ///
 /// The scan finds each `#` `[` `cfg` `(` ... `test` ... `)` ... `]`
-/// attribute, skips any further attributes and doc comments, and then
+/// attribute, skips any further attributes, and then
 /// gates the next item: everything up to the first `;` at brace depth 0
 /// or through the item's outermost `{ ... }` block.
 fn mark_test_gated(tokens: &[Token]) -> Vec<bool> {
@@ -488,23 +473,14 @@ fn mark_test_gated(tokens: &[Token]) -> Vec<bool> {
     while i < tokens.len() {
         if let Some(after_attr) = match_cfg_test_attr(tokens, i) {
             let mut j = after_attr;
-            // Skip doc comments and further attributes between the cfg
-            // gate and the item itself.
-            loop {
-                if matches!(tokens.get(j).map(|t| &t.kind), Some(TokenKind::DocComment)) {
-                    j += 1;
-                    continue;
-                }
-                if matches!(tokens.get(j).map(|t| &t.kind), Some(TokenKind::Punct("#")))
-                    && matches!(
-                        tokens.get(j + 1).map(|t| &t.kind),
-                        Some(TokenKind::Punct("["))
-                    )
-                {
-                    j = skip_attr(tokens, j);
-                    continue;
-                }
-                break;
+            // Skip further attributes between the cfg gate and the item.
+            while matches!(tokens.get(j).map(|t| &t.kind), Some(TokenKind::Punct("#")))
+                && matches!(
+                    tokens.get(j + 1).map(|t| &t.kind),
+                    Some(TokenKind::Punct("["))
+                )
+            {
+                j = skip_attr(tokens, j);
             }
             // Gate the item body.
             let mut depth = 0usize;
@@ -649,15 +625,6 @@ mod tests {
             })
             .collect();
         assert_eq!(floats, vec![true, false, false, false, true, true, false]);
-        let texts: Vec<&str> = lx
-            .tokens
-            .iter()
-            .filter_map(|t| match &t.kind {
-                TokenKind::NumLit { text, .. } => Some(text.as_str()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(texts, vec!["1.0", "10", "1", "4", "1e-9", "2f64", "0"]);
     }
 
     #[test]
@@ -705,15 +672,11 @@ mod tests {
     }
 
     #[test]
-    fn doc_comments_survive_as_tokens() {
-        let lx = LexedFile::lex("/// docs with .unwrap() inside\npub fn f() {}\n//! inner\n");
-        assert_eq!(
-            lx.tokens
-                .iter()
-                .filter(|t| matches!(t.kind, TokenKind::DocComment))
-                .count(),
-            2
+    fn doc_comments_yield_no_tokens_and_no_suppressions() {
+        let lx = LexedFile::lex(
+            "/// docs with .unwrap() inside\npub fn f() {}\n//! xlint:allow(panic_freedom): quoted\n",
         );
-        assert!(!idents(&lx).contains(&"unwrap"));
+        assert_eq!(idents(&lx), vec!["pub", "fn", "f"]);
+        assert!(lx.suppressions.is_empty());
     }
 }

@@ -34,26 +34,12 @@ pub struct SourceFile {
     pub lexed: LexedFile,
 }
 
-/// A documentation file (Markdown) the rules can cross-check against —
-/// e.g. the wire-schema rule requires every frame kind and extension
-/// tag to be described in DESIGN.md §12.
-#[derive(Debug)]
-pub struct DocFile {
-    /// Workspace-relative path, `/`-separated.
-    pub path: String,
-    /// Raw file contents.
-    pub text: String,
-}
-
 /// Every `.rs` file the checker can see, lexed once and shared by all
 /// rules.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// The files, in discovery order.
     pub files: Vec<SourceFile>,
-    /// Root-level documentation files (currently `DESIGN.md` and
-    /// `README.md`, when present).
-    pub docs: Vec<DocFile>,
 }
 
 /// Directory names never descended into.
@@ -72,46 +58,25 @@ impl Workspace {
             }
         }
         files.sort_by(|a, b| a.path.cmp(&b.path));
-        let mut docs = Vec::new();
-        for name in ["DESIGN.md", "README.md"] {
-            let path = root.join(name);
-            if path.is_file() {
-                docs.push(DocFile {
-                    path: name.to_string(),
-                    text: std::fs::read_to_string(&path)?,
-                });
-            }
-        }
-        Ok(Workspace { files, docs })
+        Ok(Workspace { files })
     }
 
     /// Builds a workspace from in-memory `(path, source)` pairs — the
     /// fixture tests use this to exercise rules without touching disk.
-    /// Paths ending in `.md` become [`DocFile`]s instead of lexed
-    /// sources.
     pub fn from_sources<I, P, S>(sources: I) -> Workspace
     where
         I: IntoIterator<Item = (P, S)>,
         P: Into<String>,
         S: AsRef<str>,
     {
-        let mut files = Vec::new();
-        let mut docs = Vec::new();
-        for (p, s) in sources {
-            let path: String = p.into();
-            if path.ends_with(".md") {
-                docs.push(DocFile {
-                    path,
-                    text: s.as_ref().to_string(),
-                });
-            } else {
-                files.push(SourceFile {
-                    path,
-                    lexed: LexedFile::lex(s.as_ref()),
-                });
-            }
-        }
-        Workspace { files, docs }
+        let files = sources
+            .into_iter()
+            .map(|(p, s)| SourceFile {
+                path: p.into(),
+                lexed: LexedFile::lex(s.as_ref()),
+            })
+            .collect();
+        Workspace { files }
     }
 }
 

@@ -78,9 +78,8 @@ fn usage(err: &str) -> ExitCode {
         "usage: cargo run -p xlint -- check [--json PATH] [--root DIR]\n\
          \n\
          Statically checks the workspace against the rule catalogue in\n\
-         xlint.toml (panic-freedom, float discipline, admissibility\n\
-         coverage, obs naming, doc coverage). Exit 0 = clean, 1 =\n\
-         violations, 2 = usage/config error."
+         xlint.toml (DESIGN.md §10). Exit 0 = clean, 1 = violations,\n\
+         2 = usage/config error."
     );
     if err.is_empty() {
         ExitCode::SUCCESS

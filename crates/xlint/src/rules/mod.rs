@@ -10,22 +10,18 @@
 //! | `float_discipline` | float discipline | no `==`/`!=` against float literals, no `partial_cmp().unwrap()` |
 //! | `admissibility_coverage` | admissibility | every `DistanceMeasure` impl appears in the bound-matrix property test |
 //! | `obs_naming` | observability | every `span!`/`event!`/metric name literal is declared in the obs name registry |
-//! | `doc_coverage` | documentation | top-level public items in configured crates carry doc comments |
 //! | `lock_discipline` | concurrency | `Mutex`/`RwLock` fields are registered, acquired in registry order, and guards are not held across blocking calls |
 //! | `deadline_propagation` | concurrency | network-touching public fns in the serving layer carry a `Deadline` or are registered as audited exemptions |
-//! | `wire_schema` | protocol | `protocol.rs` frame codes/extension tags match the `schema.rs` registry, are encoded *and* decoded, and are documented in DESIGN.md §12 |
 //! | `degradation_registry` | degradation | degradation-note literals are declared in the `core::notes` registry |
 //! | `suppression` | hygiene | `xlint:allow` needs a reason and must actually suppress something |
 
 pub mod admissibility;
 pub mod deadline_propagation;
 pub mod degradation_registry;
-pub mod doc_coverage;
 pub mod float_discipline;
 pub mod lock_discipline;
 pub mod obs_naming;
 pub mod panic_freedom;
-pub mod wire_schema;
 
 use crate::config::Config;
 use crate::diag::{Diagnostic, Report};
@@ -39,10 +35,8 @@ pub const ALL_RULES: &[&str] = &[
     "float_discipline",
     "admissibility_coverage",
     "obs_naming",
-    "doc_coverage",
     "lock_discipline",
     "deadline_propagation",
-    "wire_schema",
     "degradation_registry",
 ];
 
@@ -160,17 +154,11 @@ pub fn run_all(ws: &Workspace, cfg: &Config) -> Report {
     if cfg.bool_or("rules.obs_naming", true) {
         obs_naming::run(ws, cfg, &mut em);
     }
-    if cfg.bool_or("rules.doc_coverage", true) {
-        doc_coverage::run(ws, cfg, &mut em);
-    }
     if cfg.bool_or("rules.lock_discipline", true) {
         lock_discipline::run(ws, cfg, &mut em);
     }
     if cfg.bool_or("rules.deadline_propagation", true) {
         deadline_propagation::run(ws, cfg, &mut em);
-    }
-    if cfg.bool_or("rules.wire_schema", true) {
-        wire_schema::run(ws, cfg, &mut em);
     }
     if cfg.bool_or("rules.degradation_registry", true) {
         degradation_registry::run(ws, cfg, &mut em);
@@ -236,15 +224,4 @@ pub fn const_string_entries(
         i += 1;
     }
     out
-}
-
-/// Parses an integer literal as written in source (`0x81`, `1_000`,
-/// `42`) into a `u8`.
-pub fn parse_u8_literal(text: &str) -> Option<u8> {
-    let t = text.replace('_', "");
-    if let Some(hex) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        u8::from_str_radix(hex, 16).ok()
-    } else {
-        t.parse().ok()
-    }
 }

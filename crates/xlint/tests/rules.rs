@@ -33,10 +33,8 @@ fn only(rule: &str, extra: &str) -> String {
         "float_discipline",
         "admissibility_coverage",
         "obs_naming",
-        "doc_coverage",
         "lock_discipline",
         "deadline_propagation",
-        "wire_schema",
         "degradation_registry",
     ] {
         cfg.push_str(&format!("{r} = {}\n", r == rule));
@@ -359,63 +357,6 @@ pub fn f(m: &dyn Meter, stage: &str) {
 }
 
 // ------------------------------------------------------------------
-// doc_coverage
-
-#[test]
-fn doc_coverage_flags_undocumented_public_items() {
-    let src = r#"
-//! Module docs.
-
-/// Documented.
-pub fn documented() {}
-
-pub fn bare() {}
-
-pub struct Bare;
-"#;
-    let r = run(
-        &only("doc_coverage", ""),
-        &[("crates/demo/src/lib.rs", src)],
-    );
-    assert_eq!(rules_of(&r), vec!["doc_coverage"; 2], "{}", r.to_human());
-}
-
-#[test]
-fn doc_coverage_skips_private_items_and_inner_documented_modules() {
-    let src = r#"
-//! Module docs.
-
-/// The submodule (its own file carries `//!` docs too).
-pub mod sub;
-pub mod inner_documented;
-
-pub(crate) fn internal() {}
-fn private() {}
-
-/// Documented item with attributes between doc and keyword.
-#[derive(Debug)]
-pub struct Ok2;
-"#;
-    // Note: an item directly under the `//!` line would see that doc
-    // token as its own — keep a documented item between them, as real
-    // modules do.
-    let sub = "//! Sub docs.\n\n/// Fine.\npub fn fine() {}\n\npub fn g() {}\n";
-    let r = run(
-        &only("doc_coverage", ""),
-        &[
-            ("crates/demo/src/lib.rs", src),
-            ("crates/demo/src/sub.rs", "//! Sub docs.\n"),
-            ("crates/demo/src/inner_documented/mod.rs", sub),
-        ],
-    );
-    // `sub.rs` and `inner_documented/mod.rs` start with `//!`, so the
-    // `pub mod` declarations count as documented — but `g()` in the
-    // mod.rs file is a bare top-level pub fn and is flagged.
-    assert_eq!(rules_of(&r), vec!["doc_coverage"], "{}", r.to_human());
-    assert!(r.diagnostics[0].message.contains('g'), "{}", r.to_human());
-}
-
-// ------------------------------------------------------------------
 // lock_discipline
 
 const LOCK_CFG: &str = r#"order = ["Outer.inner", "Inner.state"]
@@ -674,168 +615,6 @@ fn deadline_propagation_suppression_silences_one_site() {
         &only("deadline_propagation", DEADLINE_CFG),
         &[("crates/demo/src/lib.rs", &src)],
     );
-    assert!(r.is_clean(), "{}", r.to_human());
-}
-
-// ------------------------------------------------------------------
-// wire_schema
-
-const WIRE_CFG: &str = r#"protocol = "crates/demo/src/protocol.rs"
-schema = "crates/demo/src/schema.rs"
-design = "DESIGN.md"
-"#;
-
-const WIRE_PROTOCOL: &str = r#"
-pub const VERSION: u8 = 2;
-pub const MIN_VERSION: u8 = 1;
-
-pub mod code {
-    pub const PING: u8 = 0x01;
-    pub const PONG: u8 = 0x81;
-}
-
-pub mod ext {
-    pub const TRACE: u8 = 0x01;
-}
-
-pub fn encode(out: &mut Vec<u8>) {
-    out.push(code::PING);
-    out.push(code::PONG);
-    out.push(ext::TRACE);
-}
-
-pub fn decode(b: &[u8]) -> bool {
-    b[0] == code::PING || b[0] == code::PONG || b[1] == ext::TRACE
-}
-"#;
-
-const WIRE_SCHEMA: &str = r#"
-pub const SCHEMA_VERSION: u8 = 2;
-pub const SCHEMA_MIN_VERSION: u8 = 1;
-pub const REQUEST_FRAMES: &[(&str, u8)] = &[("PING", 0x01)];
-pub const RESPONSE_FRAMES: &[(&str, u8)] = &[("PONG", 0x81)];
-pub const EXTENSION_TAGS: &[(&str, u8)] = &[("TRACE", 0x01)];
-"#;
-
-const WIRE_DESIGN: &str = "# Demo design\n\n## 12. Wire protocol\n\n\
-Request frame `ping` (0x01) checks liveness; the response frame `pong`\n\
-(0x81) answers it. Extension tag 0x01 (`trace`) may follow any frame.\n\n\
-## 13. Roadmap\n\nUnrelated.\n";
-
-fn wire_run(protocol: &str, schema: &str, design: &str) -> Report {
-    run(
-        &only("wire_schema", WIRE_CFG),
-        &[
-            ("crates/demo/src/protocol.rs", protocol),
-            ("crates/demo/src/schema.rs", schema),
-            ("DESIGN.md", design),
-        ],
-    )
-}
-
-#[test]
-fn wire_schema_accepts_agreeing_protocol_registry_and_docs() {
-    let r = wire_run(WIRE_PROTOCOL, WIRE_SCHEMA, WIRE_DESIGN);
-    assert!(r.is_clean(), "{}", r.to_human());
-}
-
-#[test]
-fn wire_schema_flags_frame_missing_from_registry() {
-    let protocol = WIRE_PROTOCOL
-        .replace(
-            "    pub const PONG",
-            "    pub const STAT: u8 = 0x02;\n    pub const PONG",
-        )
-        .replace(
-            "out.push(code::PING);",
-            "out.push(code::PING);\n    out.push(code::STAT);",
-        )
-        .replace(
-            "b[0] == code::PING",
-            "b[0] == code::PING || b[0] == code::STAT",
-        );
-    let r = wire_run(&protocol, WIRE_SCHEMA, WIRE_DESIGN);
-    assert_eq!(rules_of(&r), vec!["wire_schema"], "{}", r.to_human());
-    assert!(
-        r.diagnostics[0]
-            .message
-            .contains("add (\"STAT\", 0x02) to REQUEST_FRAMES"),
-        "{}",
-        r.to_human()
-    );
-}
-
-#[test]
-fn wire_schema_flags_value_mismatch() {
-    let schema = WIRE_SCHEMA.replace("(\"PING\", 0x01)", "(\"PING\", 0x02)");
-    let r = wire_run(WIRE_PROTOCOL, &schema, WIRE_DESIGN);
-    assert_eq!(rules_of(&r), vec!["wire_schema"], "{}", r.to_human());
-    assert!(
-        r.diagnostics[0].message.contains("disagree"),
-        "{}",
-        r.to_human()
-    );
-}
-
-#[test]
-fn wire_schema_flags_encoder_decoder_asymmetry() {
-    let protocol = WIRE_PROTOCOL.replace(" || b[0] == code::PONG", "");
-    let r = wire_run(&protocol, WIRE_SCHEMA, WIRE_DESIGN);
-    assert_eq!(rules_of(&r), vec!["wire_schema"], "{}", r.to_human());
-    assert!(
-        r.diagnostics[0].message.contains("asymmetry"),
-        "{}",
-        r.to_human()
-    );
-}
-
-#[test]
-fn wire_schema_flags_stale_registry_entry() {
-    let schema = WIRE_SCHEMA.replace(
-        "&[(\"PING\", 0x01)]",
-        "&[(\"PING\", 0x01), (\"GONE\", 0x07)]",
-    );
-    let design = WIRE_DESIGN.replace("`ping`", "`ping`, `gone`");
-    let r = wire_run(WIRE_PROTOCOL, &schema, &design);
-    assert_eq!(rules_of(&r), vec!["wire_schema"], "{}", r.to_human());
-    assert!(
-        r.diagnostics[0].message.contains("stale registry entry"),
-        "{}",
-        r.to_human()
-    );
-}
-
-#[test]
-fn wire_schema_flags_undocumented_frame() {
-    let design = WIRE_DESIGN.replace("`pong`", "`gong`");
-    let r = wire_run(WIRE_PROTOCOL, WIRE_SCHEMA, &design);
-    assert_eq!(rules_of(&r), vec!["wire_schema"], "{}", r.to_human());
-    assert!(
-        r.diagnostics[0].message.contains("not documented"),
-        "{}",
-        r.to_human()
-    );
-}
-
-#[test]
-fn wire_schema_flags_version_window_mismatch() {
-    let schema = WIRE_SCHEMA.replace("SCHEMA_VERSION: u8 = 2", "SCHEMA_VERSION: u8 = 3");
-    let r = wire_run(WIRE_PROTOCOL, &schema, WIRE_DESIGN);
-    assert_eq!(rules_of(&r), vec!["wire_schema"], "{}", r.to_human());
-    assert!(
-        r.diagnostics[0].message.contains("bump the registry"),
-        "{}",
-        r.to_human()
-    );
-}
-
-#[test]
-fn wire_schema_suppression_silences_one_site() {
-    let protocol = WIRE_PROTOCOL.replace(" || b[0] == code::PONG", "").replace(
-        "    pub const PONG",
-        "    // xlint:allow(wire_schema): decode arrives with the v3 reader\n    pub const PONG",
-    );
-    let r = wire_run(&protocol, WIRE_SCHEMA, WIRE_DESIGN);
     assert!(r.is_clean(), "{}", r.to_human());
 }
 

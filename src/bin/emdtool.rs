@@ -14,8 +14,7 @@
 //! # JSON-lines span trace on stderr:
 //! emdtool query --db photos.emdb --id 42 --metrics-out run --trace-json -
 //!
-//! # Serve the database over the network and query the daemon:
-//! emdtool serve --db photos.emdb --addr 127.0.0.1:4406 &
+//! # Query a running daemon (`emdd --db photos.emdb --addr 127.0.0.1:4406`):
 //! emdtool client --addr 127.0.0.1:4406 --op knn --db photos.emdb --id 42 --k 10
 //! emdtool client --addr 127.0.0.1:4406 --op health
 //! emdtool client --addr 127.0.0.1:4406 --op shutdown
@@ -28,56 +27,92 @@
 //! Pipelines: `combo` (3-D LB_Avg index → LB_IM → EMD, the paper's best),
 //! `man` (LB_Man scan → EMD), `im` (LB_IM scan → EMD),
 //! `scan` (exact EMD over everything — the slow baseline).
+//!
+//! Flags are parsed by the daemons' parser (`serve::daemon::Flags`)
+//! against the command's own usage lines: a flag they do not list
+//! prints the usage and exits 2.
 
 use earthmover::core::storage;
 use earthmover::imaging::corpus::{CorpusConfig, SyntheticCorpus};
 use earthmover::obs;
 use earthmover::serve as serve_api;
 use earthmover::{linear_scan_knn, BinGrid, ExactEmd, FirstStage, HistogramDb, QueryEngine};
-use std::collections::HashMap;
-use std::fs::File;
+use serve_api::daemon::Flags;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+/// One subcommand: its name, its entry point and its usage lines —
+/// which are also the list of flags it accepts.
+type Command = (&'static str, fn(&Flags) -> Result<(), String>, &'static str);
+
+const COMMANDS: &[Command] = &[
+    (
+        "generate",
+        generate,
+        "emdtool generate --out FILE [--count N] [--dims 16|32|64] [--seed S]",
+    ),
+    ("info", info, "emdtool info --db FILE"),
+    (
+        "query",
+        query,
+        "emdtool query --db FILE --id OBJ [--k K] [--pipeline combo|man|im|scan]\n    \
+         [--metrics-out PATH]   write PATH.prom + PATH.json metric dumps\n    \
+         [--trace-json PATH|-]  stream span records as JSON lines (- = stderr)",
+    ),
+    (
+        "client",
+        client,
+        "emdtool client --addr HOST:PORT --op knn|range|health|stats|shutdown\n    \
+         [--db FILE --id OBJ] [--k K] [--epsilon E] [--deadline-ms MS]\n    \
+         [--mode exact|sketch|approx:EPS]  retrieval tier for --op knn",
+    ),
+    (
+        "trace",
+        trace,
+        "emdtool trace --addr HOST:PORT --db FILE --id OBJ [--k K] [--deadline-ms MS]\n    \
+         issue one sampled, traced k-NN and render the per-shard trace tree",
+    ),
+    (
+        "top",
+        top,
+        "emdtool top --addr HOST:PORT\n    \
+         per-shard fleet table from the coordinator's merged metrics",
+    ),
+    (
+        "shard-split",
+        shard_split,
+        "emdtool shard-split --db FILE --shards N --out-prefix P\n    \
+         writes P0.emdb .. P{N-1}.emdb by coordinator hash placement",
+    ),
+    (
+        "store-stats",
+        store_stats,
+        "emdtool store-stats --db FILE [--pool-mb N]\n    \
+         paged-store report: blocks, resident fraction, pool hit rate,\n    \
+         filter-cache occupancy (converts FILE to FILE.emdc when missing or stale)",
+    ),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((command, flags)) = parse(&args) else {
-        eprintln!(
-            "usage:\n  emdtool generate --out FILE [--count N] [--dims 16|32|64] [--seed S]\n  \
-             emdtool info --db FILE\n  \
-             emdtool query --db FILE --id OBJ [--k K] [--pipeline combo|man|im|scan]\n    \
-             [--metrics-out PATH]   write PATH.prom + PATH.json metric dumps\n    \
-             [--trace-json PATH|-]  stream span records as JSON lines (- = stderr)\n  \
-             emdtool serve --db FILE [--addr HOST:PORT] [--workers N] [--queue N]\n    \
-             [--default-deadline-ms MS] [--trace-json PATH|-]\n  \
-             emdtool client --addr HOST:PORT --op knn|range|health|stats|shutdown\n    \
-             [--db FILE --id OBJ] [--k K] [--epsilon E] [--deadline-ms MS]\n    \
-             [--mode exact|sketch|approx:EPS]  retrieval tier for --op knn\n  \
-             emdtool trace --addr HOST:PORT --db FILE --id OBJ [--k K] [--deadline-ms MS]\n    \
-             issue one sampled, traced k-NN and render the per-shard trace tree\n  \
-             emdtool top --addr HOST:PORT\n    \
-             per-shard fleet table from the coordinator's merged metrics\n  \
-             emdtool shard-split --db FILE --shards N --out-prefix P\n    \
-             writes P0.emdb .. P{{N-1}}.emdb by coordinator hash placement\n  \
-             emdtool store-stats --db FILE [--pool-mb N]\n    \
-             paged-store report: blocks, resident fraction, pool hit rate,\n    \
-             filter-cache occupancy (converts FILE to FILE.emdc when missing or stale)"
-        );
-        return ExitCode::from(2);
+    let parsed = match args.split_first() {
+        None => Err("missing command".to_string()),
+        Some((name, rest)) => match COMMANDS.iter().find(|(n, ..)| n == name) {
+            None => Err(format!("unknown command {name}")),
+            Some((_, run, usage)) => Flags::parse(rest, usage).map(|flags| (run, flags)),
+        },
     };
-    let result = match command.as_str() {
-        "generate" => generate(&flags),
-        "info" => info(&flags),
-        "query" => query(&flags),
-        "serve" => serve(&flags),
-        "client" => client(&flags),
-        "trace" => trace(&flags),
-        "top" => top(&flags),
-        "shard-split" => shard_split(&flags),
-        "store-stats" => store_stats(&flags),
-        other => Err(format!("unknown command {other}")),
+    let (run, flags) = match parsed {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("error: {msg}\nusage:");
+            for (_, _, usage) in COMMANDS {
+                eprintln!("  {usage}");
+            }
+            return ExitCode::from(2);
+        }
     };
-    match result {
+    match run(&flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -86,51 +121,21 @@ fn main() -> ExitCode {
     }
 }
 
-/// Splits `cmd --flag value --flag value ...` into the command and a map.
-fn parse(args: &[String]) -> Option<(String, HashMap<String, String>)> {
-    let mut it = args.iter();
-    let command = it.next()?.clone();
-    if command.starts_with("--") {
-        return None;
-    }
-    let mut flags = HashMap::new();
-    while let Some(flag) = it.next() {
-        let name = flag.strip_prefix("--")?;
-        let value = it.next()?;
-        flags.insert(name.to_string(), value.clone());
-    }
-    Some((command, flags))
-}
-
-fn get<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a str, String> {
+fn get<'a>(flags: &'a Flags, name: &str) -> Result<&'a str, String> {
     flags
         .get(name)
-        .map(|s| s.as_str())
         .ok_or_else(|| format!("missing required flag --{name}"))
-}
-
-fn get_num<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: T,
-) -> Result<T, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} {v} is not a number")),
-    }
 }
 
 fn grid_for(dims: usize) -> Result<BinGrid, String> {
     BinGrid::for_bins(dims).ok_or_else(|| format!("unsupported --dims {dims} (use 16, 32, or 64)"))
 }
 
-fn generate(flags: &HashMap<String, String>) -> Result<(), String> {
+fn generate(flags: &Flags) -> Result<(), String> {
     let out = get(flags, "out")?;
-    let count: usize = get_num(flags, "count", 1000)?;
-    let dims: usize = get_num(flags, "dims", 64)?;
-    let seed: u64 = get_num(flags, "seed", 2006)?;
+    let count: usize = flags.num("count", 1000)?;
+    let dims: usize = flags.num("dims", 64)?;
+    let seed: u64 = flags.num("seed", 2006)?;
     let grid = grid_for(dims)?;
     eprintln!("generating {count} synthetic images ({dims}-bin histograms, seed {seed})...");
     let corpus = SyntheticCorpus::new(CorpusConfig::default().with_seed(seed));
@@ -140,12 +145,12 @@ fn generate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn load_db(flags: &HashMap<String, String>) -> Result<HistogramDb, String> {
+fn load_db(flags: &Flags) -> Result<HistogramDb, String> {
     let path = get(flags, "db")?;
     storage::load(path).map_err(|e| format!("{path}: {e}"))
 }
 
-fn info(flags: &HashMap<String, String>) -> Result<(), String> {
+fn info(flags: &Flags) -> Result<(), String> {
     let db = load_db(flags)?;
     println!("histograms : {}", db.len());
     println!("dimensions : {}", db.dims());
@@ -189,25 +194,17 @@ impl obs::Subscriber for Tee {
 /// `--trace-json`. Returns the recorder (for post-hoc aggregation) and
 /// the install guard keeping the stack live.
 fn telemetry(
-    flags: &HashMap<String, String>,
+    flags: &Flags,
 ) -> Result<(Option<Arc<obs::RingRecorder>>, Option<obs::InstallGuard>), String> {
     let mut subscribers: Vec<Arc<dyn obs::Subscriber>> = Vec::new();
-    let recorder = if flags.contains_key("metrics-out") {
+    let recorder = if flags.get("metrics-out").is_some() {
         let r = Arc::new(obs::RingRecorder::new(1 << 16));
         subscribers.push(r.clone());
         Some(r)
     } else {
         None
     };
-    if let Some(path) = flags.get("trace-json") {
-        let emitter = if path == "-" || path == "stderr" {
-            obs::JsonLinesEmitter::stderr()
-        } else {
-            let file = File::create(path).map_err(|e| format!("--trace-json {path}: {e}"))?;
-            obs::JsonLinesEmitter::new(Box::new(file))
-        };
-        subscribers.push(Arc::new(emitter));
-    }
+    subscribers.extend(flags.subscriber()?);
     let guard = match subscribers.len() {
         0 => None,
         1 => Some(obs::install(subscribers.pop().expect("one subscriber"))),
@@ -265,17 +262,17 @@ fn write_metrics(
     Ok(())
 }
 
-fn query(flags: &HashMap<String, String>) -> Result<(), String> {
+fn query(flags: &Flags) -> Result<(), String> {
     let db = load_db(flags)?;
-    let id: usize = get_num(flags, "id", usize::MAX)?;
+    let id: usize = flags.num("id", usize::MAX)?;
     if id >= db.len() {
         return Err(format!(
             "--id must name a database object (0..{})",
             db.len().saturating_sub(1)
         ));
     }
-    let k: usize = get_num(flags, "k", 10)?;
-    let pipeline = flags.get("pipeline").map(|s| s.as_str()).unwrap_or("combo");
+    let k: usize = flags.num("k", 10)?;
+    let pipeline = flags.get("pipeline").unwrap_or("combo");
     let grid = grid_for(db.dims())?;
     let q = db.get(id).to_histogram();
     let (recorder, _guard) = telemetry(flags)?;
@@ -331,54 +328,12 @@ fn query(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `emdtool serve` — run the query daemon on a page file. Drains and
-/// stops on a client `shutdown` frame (`emdtool client --op shutdown`);
-/// the standalone `emdd` binary additionally handles signals.
-fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
-    let db = load_db(flags)?;
-    let grid = grid_for(db.dims())?;
-    let addr = flags
-        .get("addr")
-        .map(|s| s.as_str())
-        .unwrap_or("127.0.0.1:4406");
-    let default_deadline_ms: u64 = get_num(flags, "default-deadline-ms", 0)?;
-    let cfg = serve_api::ServerConfig {
-        workers: get_num(flags, "workers", 4)?,
-        queue_depth: get_num(flags, "queue", 64)?,
-        default_deadline: (default_deadline_ms > 0)
-            .then(|| std::time::Duration::from_millis(default_deadline_ms)),
-        ..serve_api::ServerConfig::default()
-    };
-    let subscriber: Option<Arc<dyn obs::Subscriber>> = match flags.get("trace-json") {
-        None => None,
-        Some(path) if path == "-" || path == "stderr" => {
-            Some(Arc::new(obs::JsonLinesEmitter::stderr()))
-        }
-        Some(path) => {
-            let file = File::create(path).map_err(|e| format!("--trace-json {path}: {e}"))?;
-            Some(Arc::new(obs::JsonLinesEmitter::new(Box::new(file))))
-        }
-    };
-    let server = serve_api::Server::bind(addr, cfg).map_err(|e| format!("bind {addr}: {e}"))?;
-    let local = server.local_addr().map_err(|e| e.to_string())?;
-    eprintln!(
-        "serving {} histograms ({} bins) on {local}; stop with: emdtool client --addr {local} --op shutdown",
-        db.len(),
-        db.dims()
-    );
-    server
-        .run(&db, &grid, subscriber)
-        .map_err(|e| e.to_string())?;
-    eprintln!("drained, bye");
-    Ok(())
-}
-
 /// `emdtool shard-split` — partition a database into shard files by the
 /// coordinator's hash placement, so `emdd-coord` can reconstruct the
 /// local→global id maps by replaying the same placement.
-fn shard_split(flags: &HashMap<String, String>) -> Result<(), String> {
+fn shard_split(flags: &Flags) -> Result<(), String> {
     let db = load_db(flags)?;
-    let shards: usize = get_num(flags, "shards", 0)?;
+    let shards: usize = flags.num("shards", 0)?;
     if shards == 0 {
         return Err("--shards must be at least 1".to_string());
     }
@@ -409,9 +364,9 @@ fn shard_split(flags: &HashMap<String, String>) -> Result<(), String> {
 /// as a paged column store and report the storage-hierarchy picture:
 /// block layout, buffer-pool residency and hit rate after a cold+warm
 /// sweep, and filter-cache occupancy after two identical queries.
-fn store_stats(flags: &HashMap<String, String>) -> Result<(), String> {
+fn store_stats(flags: &Flags) -> Result<(), String> {
     let path = get(flags, "db")?;
-    let pool_mb: usize = get_num(flags, "pool-mb", 4)?;
+    let pool_mb: usize = flags.num("pool-mb", 4)?;
     let budget = pool_mb.max(1).saturating_mul(1024 * 1024);
     let (db, source) = storage::open_paged_or_convert(path, budget, &mut |msg| eprintln!("{msg}"))
         .map_err(|e| format!("{path}: {e}"))?;
@@ -510,18 +465,18 @@ fn print_outcome(outcome: serve_api::Outcome) {
 /// linked result tree from the response's per-shard provenance. The
 /// printed trace id greps straight into the daemons' `--trace-json`
 /// JSONL output (`"trace_id":"<hex>"`), where the full span tree lives.
-fn trace(flags: &HashMap<String, String>) -> Result<(), String> {
+fn trace(flags: &Flags) -> Result<(), String> {
     let addr = get(flags, "addr")?;
     let db = load_db(flags)?;
-    let id: usize = get_num(flags, "id", usize::MAX)?;
+    let id: usize = flags.num("id", usize::MAX)?;
     if id >= db.len() {
         return Err(format!(
             "--id must name a database object (0..{})",
             db.len().saturating_sub(1)
         ));
     }
-    let k: u32 = get_num(flags, "k", 10)?;
-    let deadline_us: u64 = get_num::<u64>(flags, "deadline-ms", 0)?.saturating_mul(1000);
+    let k: u32 = flags.num("k", 10)?;
+    let deadline_us: u64 = flags.num::<u64>("deadline-ms", 0)?.saturating_mul(1000);
     let q = db.get(id).to_histogram();
     // A fresh sampled root: the client call below forwards it on the
     // wire, so every process this query touches joins the same trace.
@@ -583,7 +538,7 @@ fn trace(flags: &HashMap<String, String>) -> Result<(), String> {
 
 /// `emdtool top` — per-shard fleet table parsed out of the
 /// coordinator's merged, per-shard-labeled metrics export.
-fn top(flags: &HashMap<String, String>) -> Result<(), String> {
+fn top(flags: &Flags) -> Result<(), String> {
     let addr = get(flags, "addr")?;
     let mut client = serve_api::Client::connect(addr, std::time::Duration::from_secs(10))
         .map_err(|e| format!("connect {addr}: {e}"))?;
@@ -630,15 +585,15 @@ fn top(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// `emdtool client` — one request against a running daemon.
-fn client(flags: &HashMap<String, String>) -> Result<(), String> {
+fn client(flags: &Flags) -> Result<(), String> {
     let addr = get(flags, "addr")?;
     let op = get(flags, "op")?;
     let mut client = serve_api::Client::connect(addr, std::time::Duration::from_secs(10))
         .map_err(|e| format!("connect {addr}: {e}"))?;
-    let deadline_us: u64 = get_num::<u64>(flags, "deadline-ms", 0)?.saturating_mul(1000);
+    let deadline_us: u64 = flags.num::<u64>("deadline-ms", 0)?.saturating_mul(1000);
     let query_histogram = || -> Result<earthmover::Histogram, String> {
         let db = load_db(flags)?;
-        let id: usize = get_num(flags, "id", usize::MAX)?;
+        let id: usize = flags.num("id", usize::MAX)?;
         if id >= db.len() {
             return Err(format!(
                 "--id must name a database object (0..{})",
@@ -649,7 +604,7 @@ fn client(flags: &HashMap<String, String>) -> Result<(), String> {
     };
     match op {
         "knn" => {
-            let k: u32 = get_num(flags, "k", 10)?;
+            let k: u32 = flags.num("k", 10)?;
             let q = query_histogram()?;
             let outcome = match flags.get("mode") {
                 None => client.knn(&q, k, deadline_us).map_err(|e| e.to_string())?,
@@ -665,7 +620,7 @@ fn client(flags: &HashMap<String, String>) -> Result<(), String> {
             print_outcome(outcome);
         }
         "range" => {
-            let epsilon: f64 = get_num(flags, "epsilon", 0.25)?;
+            let epsilon: f64 = flags.num("epsilon", 0.25)?;
             let q = query_histogram()?;
             let outcome = client
                 .range(&q, epsilon, deadline_us)

@@ -227,8 +227,9 @@ fn column_sidecar_of_another_row_count_is_rebuilt() {
 }
 
 /// A conversion that died part-way — the state `ColumnWriter` leaves
-/// when it never reaches `finish`, and cuts inside the file header and
-/// the meta page — must not keep the daemon from starting.
+/// when it never reaches `finish`, and cuts inside the file header, the
+/// meta page and the block pages behind it — must not keep the daemon
+/// from starting.
 #[test]
 fn torn_column_sidecar_is_rebuilt() {
     let grid = BinGrid::new(vec![2, 2, 2]);
@@ -240,10 +241,16 @@ fn torn_column_sidecar_is_rebuilt() {
     let good = std::fs::read(&sidecar).unwrap();
 
     let phys_page = PAGE_SIZE + 8;
-    let mut torn: Vec<Vec<u8>> = [0, 10, phys_page - 1, phys_page + 100]
-        .iter()
-        .map(|&keep| good[..keep].to_vec())
-        .collect();
+    let cuts = [
+        0,
+        10,
+        phys_page - 1,
+        phys_page + 100,
+        2 * phys_page,
+        3 * phys_page + 100,
+        good.len() - 1,
+    ];
+    let mut torn: Vec<Vec<u8>> = cuts.iter().map(|&keep| good[..keep].to_vec()).collect();
     let mut writer = storage::ColumnWriter::create(&sidecar, db.dims(), 64).unwrap();
     writer.append_rows(db.arena()).unwrap();
     drop(writer);
