@@ -129,9 +129,9 @@ impl HistogramDb {
     /// [`HistogramDb::try_push`] that panics on arity mismatch, an
     /// all-zero histogram, or a paged database — convenient for generated
     /// workloads that guarantee well-formed resident input.
+    #[expect(clippy::expect_used, reason = "documented panicking convenience")]
     pub fn push(&mut self, h: Histogram) -> usize {
         self.try_push(h)
-            // xlint:allow(panic_freedom): documented panicking convenience; fallible callers use try_push
             .expect("histogram must match the database arity and have positive mass")
     }
 
@@ -172,16 +172,14 @@ impl HistogramDb {
     /// Panics when `id >= self.len()`, and on a paged database (whose
     /// row reads can fail) — fallible callers use
     /// [`HistogramDb::try_row`].
+    #[expect(clippy::panic, reason = "documented panicking convenience")]
     pub fn get(&self, id: usize) -> HistogramRef<'_> {
         match &self.backing {
             Backing::Resident(r) => {
                 let start = id * self.dims;
                 HistogramRef::new(&r.arena()[start..start + self.dims])
             }
-            Backing::Paged(_) => {
-                // xlint:allow(panic_freedom): documented panicking convenience; paged callers use try_row
-                panic!("HistogramDb::get on a paged database; use try_row")
-            }
+            Backing::Paged(_) => panic!("HistogramDb::get on a paged database; use try_row"),
         }
     }
 
@@ -236,9 +234,9 @@ impl HistogramDb {
     ///
     /// Panics on a paged database — streaming callers walk
     /// [`HistogramDb::block`] ranges instead.
+    #[expect(clippy::expect_used, reason = "documented panicking convenience")]
     pub fn iter(&self) -> impl Iterator<Item = (usize, HistogramRef<'_>)> {
         self.resident_arena()
-            // xlint:allow(panic_freedom): documented panicking convenience; paged callers stream blocks
             .expect("HistogramDb::iter on a paged database; stream blocks instead")
             .chunks_exact(self.dims)
             .map(HistogramRef::new)
@@ -254,9 +252,9 @@ impl HistogramDb {
     /// Panics on a paged database, whose rows are not resident as one
     /// slice — use [`HistogramDb::resident_arena`] or
     /// [`HistogramDb::block`].
+    #[expect(clippy::expect_used, reason = "documented panicking convenience")]
     pub fn arena(&self) -> &[f64] {
         self.resident_arena()
-            // xlint:allow(panic_freedom): documented panicking convenience; paged callers stream blocks
             .expect("HistogramDb::arena on a paged database; stream blocks instead")
     }
 

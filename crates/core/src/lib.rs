@@ -1,4 +1,7 @@
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 //! Lower-bound filters and multistep query processing for the Earth
 //! Mover's Distance — the primary contribution of Assent, Wenning & Seidl,

@@ -75,7 +75,6 @@ impl LbAvg {
             return;
         }
         for (xi, r) in bins.iter().zip(&self.centroids) {
-            // xlint:allow(float_discipline): exact-zero sparsity skip; any nonzero mass must contribute
             if *xi != 0.0 {
                 for k in 0..d {
                     out[k] += xi * r[k];

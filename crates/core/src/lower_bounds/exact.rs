@@ -148,12 +148,12 @@ impl ExactEmd {
 }
 
 impl DistanceMeasure for ExactEmd {
+    #[expect(clippy::panic, reason = "infallible trait method; use try_distance")]
     fn distance(&self, x: &Histogram, y: &Histogram) -> f64 {
         // Intentional panic: the infallible trait method is kept for
         // filter-style callers that have validated their inputs. Query
         // pipelines go through `try_distance` and never reach this.
         self.try_distance(x, y).unwrap_or_else(|e| {
-            // xlint:allow(panic_freedom): documented contract of the infallible trait method; pipelines use try_distance
             panic!(
                 "exact EMD precondition violated (histograms must share arity \
                  and total mass; normalize queries before use): {e}"

@@ -340,6 +340,7 @@ pub fn optimal_knn_within(
 /// threshold divides by exactly 1.0); a non-finite or negative `relax`
 /// is treated as `0.0`.
 #[allow(clippy::too_many_arguments)]
+#[expect(clippy::float_cmp, reason = "a tie at the k-th distance breaks on id")]
 pub fn optimal_knn_relaxed_within(
     source: &dyn CandidateSource,
     db: &HistogramDb,

@@ -29,6 +29,7 @@ use earthmover_obs as obs;
 /// Panics when a paged database's block read fails — fallible callers
 /// (and every paged scan path in the query engine) use
 /// [`try_scan_distances`].
+#[expect(clippy::expect_used, reason = "documented panicking convenience")]
 pub fn scan_distances(
     db: &HistogramDb,
     q: &Histogram,
@@ -36,7 +37,6 @@ pub fn scan_distances(
     threads: usize,
 ) -> Vec<f64> {
     try_scan_distances(db, q, measure, threads)
-        // xlint:allow(panic_freedom): documented panicking convenience; fallible callers use try_scan_distances
         .expect("paged block read failed during scan; use try_scan_distances")
 }
 
@@ -73,14 +73,12 @@ pub fn try_scan_distances(
         }
         let chunk = n.div_ceil(threads);
         let kernel = &*kernel;
+        #[expect(clippy::expect_used, reason = "a worker panic is a bug: re-raise it")]
         crossbeam::thread::scope(|scope| {
             for (slice, block) in out.chunks_mut(chunk).zip(arena.chunks(chunk * dims)) {
                 scope.spawn(move |_| kernel.eval_block(block, dims, slice));
             }
         })
-        // Intentional panic: a worker panic means the measure itself
-        // panicked (a bug, not a query-time condition) — propagate it.
-        // xlint:allow(panic_freedom): re-raises a worker panic; swallowing it would return garbage distances
         .expect("scan worker panicked");
         return Ok(out);
     }
@@ -99,6 +97,7 @@ pub fn try_scan_distances(
     let blocks_per_worker = blocks.div_ceil(threads);
     let kernel = &*kernel;
     let mut errors: Vec<Option<PipelineError>> = (0..threads).map(|_| None).collect();
+    #[expect(clippy::expect_used, reason = "a worker panic is a bug: re-raise it")]
     crossbeam::thread::scope(|scope| {
         for ((worker, slice), error) in out
             .chunks_mut(blocks_per_worker * rpb)
@@ -118,9 +117,6 @@ pub fn try_scan_distances(
             });
         }
     })
-    // Intentional panic: a worker panic means the measure itself
-    // panicked (a bug, not a query-time condition) — propagate it.
-    // xlint:allow(panic_freedom): re-raises a worker panic; swallowing it would return garbage distances
     .expect("scan worker panicked");
     if let Some(e) = errors.into_iter().flatten().next() {
         return Err(e);
@@ -170,6 +166,7 @@ pub fn scan_knn(
 /// query stream without duplicating the database or the index. Results
 /// come back in input order; the first query error (after the engine's
 /// own degradation handling) fails the batch.
+#[expect(clippy::expect_used, reason = "the joined scope filled every slot")]
 pub fn batch_knn(
     engine: &crate::pipeline::QueryEngine<'_>,
     queries: &[Histogram],
@@ -187,6 +184,7 @@ pub fn batch_knn(
     type Slot = Option<Result<crate::multistep::QueryResult, crate::error::PipelineError>>;
     let mut out: Vec<Slot> = (0..n).map(|_| None).collect();
     let chunk = n.div_ceil(threads);
+    #[expect(clippy::expect_used, reason = "a worker panic is a bug: re-raise it")]
     crossbeam::thread::scope(|scope| {
         for (worker, slice) in out.chunks_mut(chunk).enumerate() {
             let start = worker * chunk;
@@ -197,12 +195,8 @@ pub fn batch_knn(
             });
         }
     })
-    // Intentional panic: a worker panic is a bug in the measure itself,
-    // not a recoverable query failure — propagate it.
-    // xlint:allow(panic_freedom): re-raises a worker panic; swallowing it would return garbage results
     .expect("batch worker panicked");
     out.into_iter()
-        // xlint:allow(panic_freedom): the scope above joined every worker, so each slot is Some
         .map(|r| r.expect("every slot is filled by a worker"))
         .collect()
 }

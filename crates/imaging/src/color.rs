@@ -101,7 +101,7 @@ pub fn rgb_to_hsv(c: Rgb) -> Hsv {
     let max = c.r.max(c.g).max(c.b);
     let min = c.r.min(c.g).min(c.b);
     let delta = max - min;
-    // xlint:allow(float_discipline): exact-zero grey-axis test per the hexcone model; delta is a subtraction of finite channels
+    #[expect(clippy::float_cmp, reason = "max is one channel; == picks its sector")]
     let h = if delta == 0.0 {
         0.0
     } else if max == c.r {
@@ -111,7 +111,6 @@ pub fn rgb_to_hsv(c: Rgb) -> Hsv {
     } else {
         60.0 * ((c.r - c.g) / delta + 4.0)
     };
-    // xlint:allow(float_discipline): exact-zero guard against dividing by a black pixel's max channel
     let s = if max == 0.0 { 0.0 } else { delta / max };
     Hsv::new(h, s, max)
 }

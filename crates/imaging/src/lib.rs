@@ -27,6 +27,8 @@
 //! assert_eq!(db.dims(), 64);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 pub mod cluster;
 pub mod color;
 pub mod corpus;

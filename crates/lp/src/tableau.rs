@@ -96,7 +96,6 @@ impl Tableau {
             }
             let r_start = r * width;
             let factor = self.data[r_start + pivot_col];
-            // xlint:allow(float_discipline): exact-zero fast path skipping a no-op row update; not a tolerance test
             if factor == 0.0 {
                 continue;
             }
@@ -127,7 +126,6 @@ impl Tableau {
         for r in 0..self.rows {
             let b = self.basis[r];
             let cost = if b < costs.len() { costs[b] } else { 0.0 };
-            // xlint:allow(float_discipline): exact-zero fast path; zero-cost basis rows contribute nothing
             if cost == 0.0 {
                 continue;
             }

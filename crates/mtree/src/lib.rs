@@ -45,6 +45,10 @@
 //! assert_eq!(hits.len(), 2); // objects 0 and 1
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use earthmover_obs as obs;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -271,17 +275,13 @@ impl<T: Clone, D: Fn(&T, &T) -> f64> MTree<T, D> {
             }
             _ => {
                 // Internal overflow handled here; anything else is fine.
-                let overflow =
-                    matches!(&self.nodes[node], Node::Internal(e) if e.len() > NODE_CAPACITY);
-                if !overflow {
+                let Node::Internal(e) = &mut self.nodes[node] else {
+                    return None;
+                };
+                if e.len() <= NODE_CAPACITY {
                     return None;
                 }
-                let entries = match std::mem::replace(&mut self.nodes[node], Node::Leaf(Vec::new()))
-                {
-                    Node::Internal(e) => e,
-                    // xlint:allow(panic_freedom): the matches! guard above proves this arm is an Internal node
-                    Node::Leaf(_) => unreachable!("checked overflow above"),
-                };
+                let entries = std::mem::take(e);
                 let objects: Vec<T> = entries.iter().map(|e| e.object.clone()).collect();
                 let (pa, pb, assignment, dists) = self.promote_and_partition(&objects);
                 let mut left = Vec::new();

@@ -12,6 +12,9 @@
 //! `shutdown` frame; either way in-flight requests finish and telemetry
 //! is flushed before the process returns.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 use earthmover_core::ground::BinGrid;
 use earthmover_core::storage;
 use earthmover_core::SketchTier;

@@ -16,6 +16,9 @@
 //! one corpus. The coordinator speaks the same wire protocol as `emdd`,
 //! so any client (emdtool, loadgen) works unchanged against it.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 use earthmover_serve::coord::{ClusterConfig, ClusterShared, GroupSpec, HedgeConfig};
 use earthmover_serve::coord_server::{CoordServer, CoordServerConfig};
 use earthmover_serve::daemon::{self, Flags};

@@ -27,6 +27,9 @@
 //! provenance (each shard's p99 and the worst one), landing in
 //! `BENCH_cluster.json` (schema `bench_cluster/v2`).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 use earthmover_core::ground::BinGrid;
 use earthmover_core::{Histogram, HistogramDb};
 use earthmover_imaging::corpus::{CorpusConfig, SyntheticCorpus};

@@ -35,6 +35,9 @@
 //! [`QueryEngine`]: earthmover_core::pipeline::QueryEngine
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod breaker;
 pub mod client;

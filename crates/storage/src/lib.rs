@@ -48,6 +48,10 @@
 //! # std::fs::remove_file(&path).unwrap();
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 pub mod column;
 pub mod pagefile;
 pub mod vfs;

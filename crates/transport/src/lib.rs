@@ -1,5 +1,8 @@
 // Indexed loops over parallel arrays are idiomatic in this numeric code.
 #![allow(clippy::needless_range_loop)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 //! Exact Earth Mover's Distance via the transportation simplex.
 //!

@@ -112,14 +112,6 @@ impl Config {
         }
     }
 
-    /// Bool value with a default.
-    pub fn bool_or(&self, key: &str, default: bool) -> bool {
-        match self.values.get(key) {
-            Some(Value::Bool(b)) => *b,
-            _ => default,
-        }
-    }
-
     /// String-list value, defaulting to empty.
     pub fn list(&self, key: &str) -> Vec<String> {
         match self.values.get(key) {
@@ -230,9 +222,8 @@ mod tests {
             r#"
 # top comment
 enabled = true
-[rules]
-panic_freedom = true
-float_discipline = false
+[lock_discipline]
+strict = false
 [obs_naming]
 registry = "crates/obs/src/names.rs"
 scan = ["crates", "src"] # trailing comment
@@ -241,9 +232,8 @@ scan = ["crates", "src"] # trailing comment
 "#,
         )
         .unwrap();
-        assert!(cfg.bool_or("enabled", false));
-        assert!(cfg.bool_or("rules.panic_freedom", false));
-        assert!(!cfg.bool_or("rules.float_discipline", true));
+        assert_eq!(cfg.get("enabled"), Some(&Value::Bool(true)));
+        assert_eq!(cfg.get("lock_discipline.strict"), Some(&Value::Bool(false)));
         assert_eq!(
             cfg.str("obs_naming.registry"),
             Some("crates/obs/src/names.rs")

@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 /// One rule violation at a source position.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
-    /// Rule identifier (e.g. `panic_freedom`).
+    /// Rule identifier (e.g. `slice_indexing`).
     pub rule: &'static str,
     /// Workspace-relative path, `/`-separated.
     pub path: String,

@@ -8,9 +8,9 @@
 //!
 //! Handled: line/nested-block comments, doc comments (`///`, `//!`,
 //! `/** */`, `/*! */`), string/raw-string/byte-string literals, char
-//! literals vs. lifetimes, float vs. integer literals, multi-char
-//! operators that matter to the rules (`==`, `!=`, `::`, `..`, `->`,
-//! `=>`).
+//! literals vs. lifetimes, numeric literals (so `1.0` is one token and
+//! `1..4` a range), multi-char operators that matter to the rules (`==`,
+//! `!=`, `::`, `..`, `->`, `=>`).
 
 /// What a token is.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,12 +20,8 @@ pub enum TokenKind {
     /// A string literal's cooked-ish contents (escapes left verbatim —
     /// the rules only match names that never contain escapes).
     StrLit(String),
-    /// Numeric literal; `is_float` when it has a fraction, exponent, or
-    /// an `f32`/`f64` suffix.
-    NumLit {
-        /// Whether the literal is a floating-point literal.
-        is_float: bool,
-    },
+    /// Numeric literal, integer or float.
+    NumLit,
     /// A lifetime such as `'a` (distinct from char literals).
     Lifetime,
     /// A single punctuation character or one of the combined operators
@@ -313,23 +309,12 @@ impl<'a> Lexer<'a> {
     }
 
     fn number(&mut self, line: usize, col: usize) {
-        let mut is_float = false;
-        // Integer part (also covers 0x/0b/0o prefixes well enough — any
-        // alphanumeric run is consumed below).
+        // Integer part (also covers 0x/0b/0o prefixes and type suffixes
+        // well enough — any alphanumeric run is consumed below).
         while matches!(self.peek(0), Some(c) if c.is_ascii_alphanumeric() || c == '_') {
-            // An `f32`/`f64` suffix marks a float even without a dot.
-            if self.peek(0) == Some('f')
-                && matches!(
-                    (self.peek(1), self.peek(2)),
-                    (Some('3'), Some('2')) | (Some('6'), Some('4'))
-                )
-            {
-                is_float = true;
-            }
             if matches!(self.peek(0), Some('e') | Some('E'))
                 && matches!(self.peek(1), Some(c) if c.is_ascii_digit() || c == '+' || c == '-')
             {
-                is_float = true;
                 self.bump(); // e
                 if matches!(self.peek(0), Some('+') | Some('-')) {
                     self.bump();
@@ -341,7 +326,6 @@ impl<'a> Lexer<'a> {
         // Fraction: a dot followed by a digit (so `1..4` and `1.method()`
         // stay two tokens).
         if self.peek(0) == Some('.') && matches!(self.peek(1), Some(c) if c.is_ascii_digit()) {
-            is_float = true;
             self.bump(); // .
             while matches!(self.peek(0), Some(c) if c.is_ascii_alphanumeric() || c == '_') {
                 if matches!(self.peek(0), Some('e') | Some('E'))
@@ -360,10 +344,9 @@ impl<'a> Lexer<'a> {
             && !matches!(self.peek(1), Some(c) if c.is_alphabetic() || c == '_')
         {
             // Trailing-dot float like `1.` (not a range, not a method).
-            is_float = true;
             self.bump();
         }
-        self.push(TokenKind::NumLit { is_float }, line, col);
+        self.push(TokenKind::NumLit, line, col);
     }
 
     fn ident(&mut self, line: usize, col: usize) {
@@ -614,20 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn float_vs_int_vs_range() {
-        let lx = LexedFile::lex("a = 1.0; b = 10; c = 1..4; d = 1e-9; e = 2f64; f = x.0;");
-        let floats: Vec<bool> = lx
-            .tokens
-            .iter()
-            .filter_map(|t| match &t.kind {
-                TokenKind::NumLit { is_float, .. } => Some(*is_float),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(floats, vec![true, false, false, false, true, true, false]);
-    }
-
-    #[test]
     fn lifetimes_are_not_chars() {
         let lx = LexedFile::lex("fn f<'a>(x: &'a str) -> &'static str { x }");
         assert_eq!(
@@ -662,10 +631,10 @@ mod tests {
     #[test]
     fn suppressions_parse() {
         let lx = LexedFile::lex(
-            "x.unwrap(); // xlint:allow(panic_freedom): join panics propagate\ny(); // xlint:allow(a, b)\n",
+            "x.join(); // xlint:allow(lock_discipline): join completes in microseconds\ny(); // xlint:allow(a, b)\n",
         );
         assert_eq!(lx.suppressions.len(), 2);
-        assert_eq!(lx.suppressions[0].rules, vec!["panic_freedom"]);
+        assert_eq!(lx.suppressions[0].rules, vec!["lock_discipline"]);
         assert!(lx.suppressions[0].has_reason);
         assert_eq!(lx.suppressions[1].rules, vec!["a", "b"]);
         assert!(!lx.suppressions[1].has_reason);
@@ -674,7 +643,7 @@ mod tests {
     #[test]
     fn doc_comments_yield_no_tokens_and_no_suppressions() {
         let lx = LexedFile::lex(
-            "/// docs with .unwrap() inside\npub fn f() {}\n//! xlint:allow(panic_freedom): quoted\n",
+            "/// docs with .unwrap() inside\npub fn f() {}\n//! xlint:allow(lock_discipline): quoted\n",
         );
         assert_eq!(idents(&lx), vec!["pub", "fn", "f"]);
         assert!(lx.suppressions.is_empty());

@@ -3,13 +3,15 @@
 //! `xlint` — workspace static analysis for the earthmover codebase.
 //!
 //! The correctness of the multistep EMD pipeline rests on properties the
-//! compiler cannot see: filters must be admissible lower bounds, hot
-//! query paths must not panic now that the stack is fallible, float
-//! comparisons must respect NaN, and observability names must stay on
-//! one time series. `xlint` machine-checks those contracts on every PR
-//! (`cargo run -p xlint -- check`) with a hand-rolled lexer over every
-//! workspace `.rs` file — zero dependencies, fully offline, no compiler
-//! plugins.
+//! compiler cannot see: filters must be admissible lower bounds, slice
+//! indexing on query paths may only shrink, locks must nest in one order,
+//! network fan-out must carry a deadline, and observability names and
+//! degradation notes must stay on one registry. `xlint` machine-checks
+//! those contracts on every PR (`cargo run -p xlint -- check`) with a
+//! hand-rolled lexer over every workspace `.rs` file — zero dependencies,
+//! fully offline, no compiler plugins. What rustc and clippy can check —
+//! no `unwrap`/`expect`/`panic!`/`unreachable!` in library code, no exact
+//! float compares — they do, through crate-root `deny` attributes.
 //!
 //! See `xlint.toml` at the workspace root for rule scopes, the
 //! slice-indexing ratchet baseline, and suppression policy, and
@@ -108,7 +110,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> std::io::Result<(
     Ok(())
 }
 
-/// Runs every enabled rule and returns the sorted report.
+/// Runs every configured rule and returns the sorted report.
 pub fn check(ws: &Workspace, cfg: &Config) -> Report {
     rules::run_all(ws, cfg)
 }

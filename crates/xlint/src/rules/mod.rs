@@ -1,13 +1,14 @@
 //! The rule engine: shared scan context, suppression accounting, and
 //! the individual rule passes.
 //!
-//! Rule catalogue (see DESIGN.md §10):
+//! Rule catalogue (see DESIGN.md §10). A rule runs when `xlint.toml`
+//! gives its section a `paths` list. The rest of the panic rule and the
+//! float rule are held by rustc/clippy (crate-root `deny` attributes and
+//! `clippy.toml`), not here.
 //!
 //! | id | category | what it enforces |
 //! |---|---|---|
-//! | `panic_freedom` | panic-freedom | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in library code |
 //! | `slice_indexing` | panic-freedom | no *new* `expr[...]` indexing (ratcheted per-file baseline) |
-//! | `float_discipline` | float discipline | no `==`/`!=` against float literals, no `partial_cmp().unwrap()` |
 //! | `admissibility_coverage` | admissibility | every `DistanceMeasure` impl appears in the bound-matrix property test |
 //! | `obs_naming` | observability | every `span!`/`event!`/metric name literal is declared in the obs name registry |
 //! | `lock_discipline` | concurrency | `Mutex`/`RwLock` fields are registered, acquired in registry order, and guards are not held across blocking calls |
@@ -18,26 +19,26 @@
 pub mod admissibility;
 pub mod deadline_propagation;
 pub mod degradation_registry;
-pub mod float_discipline;
 pub mod lock_discipline;
 pub mod obs_naming;
-pub mod panic_freedom;
+pub mod slice_indexing;
 
 use crate::config::Config;
 use crate::diag::{Diagnostic, Report};
 use crate::lexer::TokenKind;
 use crate::Workspace;
 
-/// Rule identifiers, in execution order.
-pub const ALL_RULES: &[&str] = &[
-    "panic_freedom",
-    "slice_indexing",
-    "float_discipline",
-    "admissibility_coverage",
-    "obs_naming",
-    "lock_discipline",
-    "deadline_propagation",
-    "degradation_registry",
+type Rule = fn(&Workspace, &Config, &mut Emitter);
+
+/// Rule identifiers (each one's `xlint.toml` section) and passes, in
+/// execution order.
+const RULES: &[(&str, Rule)] = &[
+    ("slice_indexing", slice_indexing::run),
+    ("admissibility_coverage", admissibility::run),
+    ("obs_naming", obs_naming::run),
+    ("lock_discipline", lock_discipline::run),
+    ("deadline_propagation", deadline_propagation::run),
+    ("degradation_registry", degradation_registry::run),
 ];
 
 /// Shared mutable state while rules run: the report plus per-file
@@ -136,32 +137,14 @@ impl Emitter {
     }
 }
 
-/// Runs every enabled rule over the workspace and returns the report.
+/// Runs every rule whose section sets `paths`, then suppression
+/// hygiene, and returns the report.
 pub fn run_all(ws: &Workspace, cfg: &Config) -> Report {
     let mut em = Emitter::new(ws);
-    if cfg.bool_or("rules.panic_freedom", true) {
-        panic_freedom::run(ws, cfg, &mut em);
-    }
-    if cfg.bool_or("rules.slice_indexing", true) {
-        panic_freedom::run_slice_indexing(ws, cfg, &mut em);
-    }
-    if cfg.bool_or("rules.float_discipline", true) {
-        float_discipline::run(ws, cfg, &mut em);
-    }
-    if cfg.bool_or("rules.admissibility_coverage", true) {
-        admissibility::run(ws, cfg, &mut em);
-    }
-    if cfg.bool_or("rules.obs_naming", true) {
-        obs_naming::run(ws, cfg, &mut em);
-    }
-    if cfg.bool_or("rules.lock_discipline", true) {
-        lock_discipline::run(ws, cfg, &mut em);
-    }
-    if cfg.bool_or("rules.deadline_propagation", true) {
-        deadline_propagation::run(ws, cfg, &mut em);
-    }
-    if cfg.bool_or("rules.degradation_registry", true) {
-        degradation_registry::run(ws, cfg, &mut em);
+    for (name, run) in RULES {
+        if cfg.get(&format!("{name}.paths")).is_some() {
+            run(ws, cfg, &mut em);
+        }
     }
     em.check_suppression_hygiene(ws);
     let mut report = em.report;

@@ -23,108 +23,10 @@ fn rules_of(r: &Report) -> Vec<&'static str> {
     r.diagnostics.iter().map(|d| d.rule).collect()
 }
 
-/// A config enabling only the named rule (plus suppression hygiene,
-/// which always runs) over `crates/demo/src`.
+/// A config with only the named rule's section (plus suppression
+/// hygiene, which always runs) over `crates/demo/src`.
 fn only(rule: &str, extra: &str) -> String {
-    let mut cfg = String::from("[rules]\n");
-    for r in [
-        "panic_freedom",
-        "slice_indexing",
-        "float_discipline",
-        "admissibility_coverage",
-        "obs_naming",
-        "lock_discipline",
-        "deadline_propagation",
-        "degradation_registry",
-    ] {
-        cfg.push_str(&format!("{r} = {}\n", r == rule));
-    }
-    cfg.push_str(&format!("[{rule}]\npaths = [\"crates/demo/src\"]\n"));
-    cfg.push_str(extra);
-    cfg
-}
-
-// ------------------------------------------------------------------
-// panic_freedom
-
-#[test]
-fn panic_freedom_flags_unwrap_expect_and_macros() {
-    let src = r#"
-pub fn f(x: Option<u32>) -> u32 {
-    let a = x.unwrap();
-    let b = x.expect("present");
-    if a > b { panic!("boom"); }
-    a
-}
-"#;
-    let r = run(
-        &only("panic_freedom", ""),
-        &[("crates/demo/src/lib.rs", src)],
-    );
-    assert_eq!(rules_of(&r), vec!["panic_freedom"; 3], "{}", r.to_human());
-}
-
-#[test]
-fn panic_freedom_ignores_test_code_and_out_of_scope_files() {
-    let src = r#"
-pub fn ok(x: Option<u32>) -> Option<u32> { x }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() { assert_eq!(super::ok(Some(1)).unwrap(), 1); }
-}
-"#;
-    let elsewhere = "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-    let r = run(
-        &only("panic_freedom", ""),
-        &[
-            ("crates/demo/src/lib.rs", src),
-            ("crates/other/src/lib.rs", elsewhere),
-        ],
-    );
-    assert!(r.is_clean(), "{}", r.to_human());
-}
-
-#[test]
-fn panic_freedom_suppression_needs_reason_and_use() {
-    // A reasoned allow on the preceding line suppresses the site.
-    let good = r#"
-pub fn f(x: Option<u32>) -> u32 {
-    // xlint:allow(panic_freedom): caller guarantees Some in this fixture
-    x.unwrap()
-}
-"#;
-    let r = run(
-        &only("panic_freedom", ""),
-        &[("crates/demo/src/lib.rs", good)],
-    );
-    assert!(r.is_clean(), "{}", r.to_human());
-
-    // No reason: the directive itself is a violation (and nothing is
-    // suppressed, so the unwrap fires too).
-    let no_reason = r#"
-pub fn f(x: Option<u32>) -> u32 {
-    // xlint:allow(panic_freedom)
-    x.unwrap()
-}
-"#;
-    let r = run(
-        &only("panic_freedom", ""),
-        &[("crates/demo/src/lib.rs", no_reason)],
-    );
-    assert!(rules_of(&r).contains(&"suppression"), "{}", r.to_human());
-
-    // Unused: the excused code is gone, the stale allow is flagged.
-    let unused = r#"
-// xlint:allow(panic_freedom): excuses nothing
-pub fn f(x: u32) -> u32 { x }
-"#;
-    let r = run(
-        &only("panic_freedom", ""),
-        &[("crates/demo/src/lib.rs", unused)],
-    );
-    assert_eq!(rules_of(&r), vec!["suppression"], "{}", r.to_human());
+    format!("[{rule}]\npaths = [\"crates/demo/src\"]\n{extra}")
 }
 
 // ------------------------------------------------------------------
@@ -180,46 +82,6 @@ mod tests {
 "#;
     let r = run(
         &only("slice_indexing", ""),
-        &[("crates/demo/src/lib.rs", src)],
-    );
-    assert!(r.is_clean(), "{}", r.to_human());
-}
-
-// ------------------------------------------------------------------
-// float_discipline
-
-#[test]
-fn float_discipline_flags_literal_compare_and_partial_cmp_unwrap() {
-    let src = r#"
-pub fn f(x: f64, ys: &mut [f64]) -> bool {
-    ys.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    x == 0.5
-}
-"#;
-    let r = run(
-        &only("float_discipline", ""),
-        &[("crates/demo/src/lib.rs", src)],
-    );
-    assert_eq!(
-        rules_of(&r),
-        vec!["float_discipline"; 2],
-        "{}",
-        r.to_human()
-    );
-}
-
-#[test]
-fn float_discipline_accepts_total_cmp_int_compares_and_suppressions() {
-    let src = r#"
-pub fn f(x: f64, n: usize, ys: &mut [f64]) -> bool {
-    ys.sort_by(f64::total_cmp);
-    // xlint:allow(float_discipline): exact-zero sparsity guard in this fixture
-    let z = x == 0.0;
-    z && n == 0
-}
-"#;
-    let r = run(
-        &only("float_discipline", ""),
         &[("crates/demo/src/lib.rs", src)],
     );
     assert!(r.is_clean(), "{}", r.to_human());
@@ -461,6 +323,42 @@ pub fn hot(o: &Outer, worker: Worker) {{
         &[("crates/demo/src/lib.rs", &src)],
     );
     assert!(r.is_clean(), "{}", r.to_human());
+}
+
+#[test]
+fn suppression_needs_reason_and_use() {
+    // No reason: the directive itself is a violation.
+    let no_reason = format!(
+        "{LOCK_STRUCTS}
+pub fn hot(o: &Outer, worker: Worker) {{
+    let g = o.inner.lock();
+    // xlint:allow(lock_discipline)
+    worker.join();
+}}
+"
+    );
+    let r = run(
+        &only("lock_discipline", LOCK_CFG),
+        &[("crates/demo/src/lib.rs", &no_reason)],
+    );
+    assert!(rules_of(&r).contains(&"suppression"), "{}", r.to_human());
+
+    // Unused: the excused code is gone, the stale allow is flagged.
+    let unused = format!(
+        "{LOCK_STRUCTS}
+pub fn hot(o: &Outer, worker: Worker) {{
+    let g = o.inner.lock();
+    drop(g);
+    // xlint:allow(lock_discipline): excuses nothing
+    worker.join();
+}}
+"
+    );
+    let r = run(
+        &only("lock_discipline", LOCK_CFG),
+        &[("crates/demo/src/lib.rs", &unused)],
+    );
+    assert_eq!(rules_of(&r), vec!["suppression"], "{}", r.to_human());
 }
 
 #[test]
