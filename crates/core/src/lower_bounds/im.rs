@@ -18,8 +18,9 @@ use earthmover_transport::CostMatrix;
 /// minimum can only shrink — the lower-bounding proof of §4.6. The payoff
 /// is decomposition: each row `i` becomes an independent fractional
 /// greedy problem (“pour `x_i` units into the cheapest bins of row `i`,
-/// capped at `y_j` each”), solvable in `O(n)` per row after the cost rows
-/// are sorted once at construction. No simplex, no global coupling.
+/// capped at `y_j` each”), solvable in `O(n)` per row by walking the
+/// row's cost order, which the [`CostMatrix`] sorted once when it was
+/// built. No simplex, no global coupling.
 ///
 /// Two refinements from the paper are implemented and on by default:
 ///
@@ -33,13 +34,9 @@ use earthmover_transport::CostMatrix;
 ///    `max(LB_IM(x, y), LB_IM(y, x))` is the tighter complete filter.
 #[derive(Debug, Clone)]
 pub struct LbIm {
+    /// The ground distance; its row orders drive `LB_IM(x, y)` and its
+    /// column orders the swapped direction `LB_IM(y, x)`.
     cost: CostMatrix,
-    /// Per row `i`, the column indices sorted by ascending `c_ij`
-    /// (ties by index, for determinism).
-    sorted_rows: Vec<Vec<u32>>,
-    /// Like `sorted_rows` but for the transposed matrix (used when
-    /// evaluating the swapped direction `LB_IM(y, x)`).
-    sorted_cols: Vec<Vec<u32>>,
     refine_diagonal: bool,
     symmetric: bool,
 }
@@ -54,28 +51,8 @@ impl LbIm {
     /// Builds the bound with explicit refinement toggles; used by the
     /// ablation benchmarks to quantify what each refinement buys.
     pub fn with_options(cost: &CostMatrix, refine_diagonal: bool, symmetric: bool) -> Self {
-        let n = cost.len();
-        let mut sorted_rows = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut order: Vec<u32> = (0..n as u32).collect();
-            let row = cost.row(i);
-            order.sort_by(|&a, &b| row[a as usize].total_cmp(&row[b as usize]).then(a.cmp(&b)));
-            sorted_rows.push(order);
-        }
-        let mut sorted_cols = Vec::with_capacity(n);
-        for j in 0..n {
-            let mut order: Vec<u32> = (0..n as u32).collect();
-            order.sort_by(|&a, &b| {
-                cost.get(a as usize, j)
-                    .total_cmp(&cost.get(b as usize, j))
-                    .then(a.cmp(&b))
-            });
-            sorted_cols.push(order);
-        }
         LbIm {
             cost: cost.clone(),
-            sorted_rows,
-            sorted_cols,
             refine_diagonal,
             symmetric,
         }
@@ -98,18 +75,18 @@ impl LbIm {
     /// `transposed = true` evaluates the swapped direction with cost
     /// columns, i.e. sources draw from `y` and caps come from `x`.
     fn one_direction(&self, source: &[f64], caps: &[f64], transposed: bool) -> f64 {
-        let orders = if transposed {
-            &self.sorted_cols
-        } else {
-            &self.sorted_rows
-        };
         let mut total = 0.0;
         for (i, &si) in source.iter().enumerate() {
             if si <= 0.0 {
                 continue;
             }
+            let order = if transposed {
+                self.cost.col_order(i)
+            } else {
+                self.cost.row_order(i)
+            };
             let mut remaining = si;
-            for &j in &orders[i] {
+            for &j in order {
                 let j = j as usize;
                 let cap = caps[j];
                 if cap <= 0.0 {
@@ -180,7 +157,7 @@ impl LbIm {
 /// [`DistanceMeasure::prepare`] time, and the block path reuses one pair
 /// of diagonal-reduction scratch vectors across all candidates instead
 /// of allocating two per pair. The greedy orders themselves live on the
-/// parent [`LbIm`] (they depend only on the cost matrix).
+/// parent [`LbIm`]'s [`CostMatrix`] (they depend only on the costs).
 struct ImKernel<'m> {
     im: &'m LbIm,
     /// The prepared query's bins.

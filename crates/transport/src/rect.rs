@@ -8,19 +8,28 @@
 //! underlying transportation problem becomes rectangular: `n` sources,
 //! `m` sinks, an `n × m` ground-distance matrix.
 
+use crate::cost::line_orders;
 use std::fmt;
 
 /// A dense rectangular matrix of non-negative ground-distance costs
 /// between `rows` sources and `cols` sinks.
+///
+/// Like [`CostMatrix`](crate::CostMatrix) it sorts each row by
+/// `(cost, index)` once at construction, for Vogel's start; the solver
+/// never walks a rectangular column order, so none is kept.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RectCost {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+    /// Row `i`'s column indices by ascending `(cost, index)`, at
+    /// `row_orders[i * cols..(i + 1) * cols]`.
+    row_orders: Vec<u32>,
 }
 
 impl RectCost {
-    /// Builds a `rows × cols` cost matrix from a generator function.
+    /// Builds a `rows × cols` cost matrix from a generator function. A
+    /// `-0.0` cost is stored as `+0.0`.
     ///
     /// # Panics
     ///
@@ -34,14 +43,15 @@ impl RectCost {
                     c.is_finite() && c >= 0.0,
                     "cost ({i},{j}) must be finite and non-negative, got {c}"
                 );
-                data.push(c);
+                data.push(c + 0.0);
             }
         }
-        RectCost { rows, cols, data }
+        Self::with_orders(rows, cols, data)
     }
 
-    /// Wraps an existing row-major buffer of length `rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, RectCostError> {
+    /// Wraps an existing row-major buffer of length `rows * cols`. A
+    /// `-0.0` cost is stored as `+0.0`.
+    pub fn from_vec(rows: usize, cols: usize, mut data: Vec<f64>) -> Result<Self, RectCostError> {
         if data.len() != rows * cols {
             return Err(RectCostError::WrongLength {
                 expected: rows * cols,
@@ -55,7 +65,21 @@ impl RectCost {
                 value: data[idx],
             });
         }
-        Ok(RectCost { rows, cols, data })
+        // `-0.0 + 0.0` is `+0.0`; every other value is unchanged.
+        data.iter_mut().for_each(|c| *c += 0.0);
+        Ok(Self::with_orders(rows, cols, data))
+    }
+
+    /// Wraps validated, canonical entries and sorts their rows.
+    fn with_orders(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+        let mut m = RectCost {
+            rows,
+            cols,
+            data,
+            row_orders: Vec::new(),
+        };
+        m.row_orders = line_orders(rows, cols, |i, j| m.get(i, j));
+        m
     }
 
     /// Number of source rows.
@@ -80,6 +104,15 @@ impl RectCost {
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// Row `i`'s column indices by ascending `(cost, index)`. Empty when
+    /// `i` is out of range.
+    #[inline]
+    pub fn row_order(&self, i: usize) -> &[u32] {
+        self.row_orders
+            .get(i * self.cols..(i + 1) * self.cols)
+            .unwrap_or(&[])
     }
 
     /// Largest cost in the matrix (zero when empty).
@@ -136,6 +169,18 @@ mod tests {
             RectCost::from_vec(1, 2, vec![0.0, -1.0]),
             Err(RectCostError::InvalidCost { row: 0, col: 1, .. })
         ));
+    }
+
+    #[test]
+    fn rows_are_ordered_and_negative_zero_is_canonical() {
+        let c = RectCost::from_vec(2, 3, vec![1.0, -0.0, 0.0, 2.0, 2.0, 1.0]).unwrap();
+        assert_eq!(c.get(0, 1).to_bits(), 0);
+        assert_eq!(c.row_order(0), &[1, 2, 0]);
+        assert_eq!(c.row_order(1), &[2, 0, 1]);
+        assert!(c.row_order(2).is_empty());
+        let f = RectCost::from_fn(1, 2, |_, j| if j == 0 { 0.0 } else { -0.0 });
+        assert_eq!(f.get(0, 1).to_bits(), 0);
+        assert_eq!(f.row_order(0), &[0, 1]);
     }
 
     #[test]

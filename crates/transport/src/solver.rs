@@ -86,6 +86,10 @@ pub trait CostAccess {
     fn at(&self, i: usize, j: usize) -> f64;
     /// Largest cost (for tolerance scaling).
     fn max(&self) -> f64;
+    /// Row `i`'s column indices by ascending `(cost, index)`, computed
+    /// once per matrix: the first entry whose column is open is the
+    /// cheapest open cell of the row, the lowest index among equal costs.
+    fn row_order(&self, i: usize) -> &[u32];
 }
 
 impl CostAccess for CostMatrix {
@@ -100,6 +104,9 @@ impl CostAccess for CostMatrix {
     }
     fn max(&self) -> f64 {
         self.max_cost()
+    }
+    fn row_order(&self, i: usize) -> &[u32] {
+        self.row_order(i)
     }
 }
 
@@ -116,6 +123,21 @@ impl CostAccess for RectCost {
     fn max(&self) -> f64 {
         self.max_cost()
     }
+    fn row_order(&self, i: usize) -> &[u32] {
+        self.row_order(i)
+    }
+}
+
+/// First position at or after `pos` in `order` whose column is open, or
+/// `order.len()` when none is.
+fn next_open(order: &[u32], mut pos: usize, col_open: &[bool]) -> usize {
+    while let Some(&j) = order.get(pos) {
+        if col_open.get(j as usize) == Some(&true) {
+            break;
+        }
+        pos += 1;
+    }
+    pos
 }
 
 /// Optimality tolerance on reduced costs, relative to the largest cost.
@@ -328,47 +350,35 @@ impl<'a, C: CostAccess> State<'a, C> {
     /// remaining costs), shipping as much as possible into the cheapest
     /// cell. Closes exactly one of row/column per allocation except the
     /// final one, yielding a spanning-tree basis of `n + m - 1` cells.
+    ///
+    /// A row's two smallest open costs are read off its pre-sorted
+    /// [`CostAccess::row_order`] through two cursors, at its first and
+    /// second open column. Closed columns never reopen, so the cursors
+    /// only move forward and a row costs amortized O(1) per step instead
+    /// of an O(m) rescan. The first open entry is the lowest-index
+    /// minimum and the second holds the second-smallest value, so the
+    /// cell, the penalty's bits and the strict-`>` tie order are those of
+    /// a full scan. Columns are still scanned.
     fn vogel_init(&mut self, x: &[f64], y: &[f64]) {
         let (n, m) = (self.n, self.m);
+        let cost = self.cost;
         let mut supply = x.to_vec();
         let mut demand = y.to_vec();
         let mut row_open = vec![true; n];
         let mut col_open = vec![true; m];
         let mut open_rows = n;
         let mut open_cols = m;
+        // Per row, positions in its order of the first and second open
+        // column (either may lag until the row is next evaluated).
+        let mut cursors = vec![(0usize, 1usize); n];
 
-        // Penalty of an open row: difference of its two smallest costs over
-        // open columns (or the single cost if only one column is open).
-        let row_penalty = |r: usize, col_open: &[bool]| -> (f64, usize) {
-            let mut best = f64::INFINITY;
-            let mut second = f64::INFINITY;
-            let mut best_j = usize::MAX;
-            for j in 0..m {
-                if col_open[j] {
-                    let c = self.cost.at(r, j);
-                    if c < best {
-                        second = best;
-                        best = c;
-                        best_j = j;
-                    } else if c < second {
-                        second = c;
-                    }
-                }
-            }
-            let pen = if second.is_finite() {
-                second - best
-            } else {
-                0.0
-            };
-            (pen, best_j)
-        };
         let col_penalty = |c: usize, row_open: &[bool]| -> (f64, usize) {
             let mut best = f64::INFINITY;
             let mut second = f64::INFINITY;
             let mut best_i = usize::MAX;
             for i in 0..n {
                 if row_open[i] {
-                    let v = self.cost.at(i, c);
+                    let v = cost.at(i, c);
                     if v < best {
                         second = best;
                         best = v;
@@ -390,13 +400,23 @@ impl<'a, C: CostAccess> State<'a, C> {
             // Find the open row or column with maximal penalty.
             let mut best_pen = -1.0;
             let mut pick: Option<(usize, usize)> = None; // (row, col) target cell
-            for r in 0..n {
-                if row_open[r] {
-                    let (pen, j) = row_penalty(r, &col_open);
-                    if pen > best_pen && j != usize::MAX {
-                        best_pen = pen;
-                        pick = Some((r, j));
-                    }
+            for (r, (&open, (first, second))) in row_open.iter().zip(&mut cursors).enumerate() {
+                if !open {
+                    continue;
+                }
+                let order = cost.row_order(r);
+                *first = next_open(order, *first, &col_open);
+                *second = next_open(order, (*second).max(*first + 1), &col_open);
+                let Some(j) = order.get(*first).map(|&j| j as usize) else {
+                    continue;
+                };
+                // A lone open column leaves no second cost: penalty 0.
+                let pen = order
+                    .get(*second)
+                    .map_or(0.0, |&k| cost.at(r, k as usize) - cost.at(r, j));
+                if pen > best_pen {
+                    best_pen = pen;
+                    pick = Some((r, j));
                 }
             }
             for c in 0..m {
