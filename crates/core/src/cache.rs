@@ -28,10 +28,10 @@ const MAX_ENTRIES: usize = 32;
 pub struct CacheKey {
     /// The filter's [`crate::DistanceMeasure::name`].
     pub filter: &'static str,
-    /// Signature of the filter's parameters
+    /// FNV-1a hash of the filter's parameters
     /// ([`crate::DistanceMeasure::cache_signature`]).
     pub params: u64,
-    /// Signature of the query bins ([`query_signature`]).
+    /// FNV-1a hash of the query bins ([`query_signature`]).
     pub query: u64,
     /// Rows the column covers (belt-and-braces alongside invalidation).
     pub rows: usize,

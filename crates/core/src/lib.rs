@@ -80,7 +80,6 @@ pub mod pipeline;
 pub mod provider;
 pub mod quadratic_form;
 pub mod reduce;
-pub mod signature;
 pub mod sketch_tier;
 pub mod stats;
 pub mod storage;

@@ -19,7 +19,6 @@
 
 mod algorithms;
 mod source;
-mod stream;
 
 pub use algorithms::{
     gemini_knn, gemini_knn_within, linear_scan_knn, linear_scan_knn_within, optimal_knn,
@@ -28,4 +27,3 @@ pub use algorithms::{
 pub use source::{
     CandidateSource, FailingSource, RankingCursor, RtreeSource, ScanSource, SourceCost,
 };
-pub use stream::{nearest_stream, NearestStream};

@@ -423,38 +423,6 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Incremental ranking query: a lazy stream of `(id, exact distance)`
-    /// in nondecreasing distance order, refining only as much as the
-    /// consumed prefix requires. The streaming counterpart of
-    /// [`QueryEngine::knn`] when `k` is not known up front.
-    ///
-    /// If the configured first stage cannot start a ranking, the stream
-    /// is opened over the sequential-scan fallback instead. A failure
-    /// *mid*-stream is yielded as one `Err` item, after which the stream
-    /// ends — callers wanting automatic recovery there should fall back
-    /// to [`QueryEngine::knn`] with the count consumed so far.
-    pub fn nearest_stream<'q>(
-        &'q self,
-        q: &'q Histogram,
-    ) -> Result<crate::multistep::NearestStream<'q>, PipelineError> {
-        match crate::multistep::nearest_stream(
-            self.stage.as_source(),
-            self.db,
-            q,
-            self.intermediates(),
-            &self.exact,
-        ) {
-            Err(PipelineError::Source { .. }) => crate::multistep::nearest_stream(
-                &self.fallback,
-                self.db,
-                q,
-                self.intermediates(),
-                &self.exact,
-            ),
-            other => other,
-        }
-    }
-
     /// ε-range query with the configured pipeline. Degrades to a
     /// sequential scan on first-stage failure, like [`QueryEngine::knn`].
     pub fn range(&self, q: &Histogram, epsilon: f64) -> Result<QueryResult, PipelineError> {
@@ -663,33 +631,6 @@ mod degradation_tests {
     }
 
     #[test]
-    fn stream_opens_over_fallback_when_index_is_down() {
-        let (grid, db) = setup(40);
-        let cost = grid.cost_matrix();
-        let q = random_histogram(&mut StdRng::seed_from_u64(9), grid.num_bins());
-        let exact = ExactEmd::new(cost.clone());
-        let brute = linear_scan_knn(&db, &q, 4, &exact).unwrap();
-
-        let broken = FailingSource::new(
-            ScanSource::new(&db, LbManhattan::new(&cost)),
-            0,
-            "index unavailable",
-        );
-        let engine = QueryEngine::builder(&db, &grid)
-            .custom_source(Box::new(broken))
-            .build();
-        let prefix: Vec<(usize, f64)> = engine
-            .nearest_stream(&q)
-            .expect("stream must open over the fallback")
-            .take(4)
-            .map(|r| r.unwrap())
-            .collect();
-        for ((_, a), (_, b)) in prefix.iter().zip(&brute.items) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn healthy_engine_records_no_degradation() {
         let (grid, db) = setup(30);
         let q = random_histogram(&mut StdRng::seed_from_u64(10), grid.num_bins());
@@ -826,35 +767,5 @@ mod mode_tests {
         let info = r.stats.retrieval.unwrap();
         assert_eq!(info.mode, RetrievalMode::Exact);
         assert_eq!(info.recall, 1.0);
-    }
-}
-
-#[cfg(test)]
-mod stream_tests {
-    use super::*;
-    use crate::lower_bounds::test_support::random_histogram;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn engine_stream_prefix_equals_knn() {
-        let grid = BinGrid::new(vec![2, 2, 2]);
-        let mut rng = StdRng::seed_from_u64(777);
-        let mut db = HistogramDb::new(grid.num_bins());
-        for _ in 0..70 {
-            db.push(random_histogram(&mut rng, grid.num_bins()));
-        }
-        let engine = QueryEngine::builder(&db, &grid).build();
-        let q = random_histogram(&mut rng, grid.num_bins());
-        let knn = engine.knn(&q, 6).unwrap();
-        let prefix: Vec<(usize, f64)> = engine
-            .nearest_stream(&q)
-            .unwrap()
-            .take(6)
-            .map(|r| r.unwrap())
-            .collect();
-        for ((_, a), (_, b)) in prefix.iter().zip(&knn.items) {
-            assert!((a - b).abs() < 1e-9);
-        }
     }
 }

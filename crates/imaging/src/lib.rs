@@ -29,7 +29,6 @@
 
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
-pub mod cluster;
 pub mod color;
 pub mod corpus;
 pub mod extract;

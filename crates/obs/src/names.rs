@@ -23,7 +23,6 @@ pub const SPAN_NAMES: &[&str] = &[
     "gemini_knn",
     "optimal_knn",
     "linear_scan_knn",
-    "nearest_stream",
     // refinement
     "exact_emd",
     // parallel block-kernel scan executor

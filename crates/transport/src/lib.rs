@@ -42,17 +42,12 @@
 //! ```
 
 mod cost;
-pub mod partial;
-pub mod rect;
 mod solver;
 
 pub use cost::CostMatrix;
-pub use partial::{emd_partial, emd_partial_rect};
-pub use rect::{RectCost, RectCostError};
 pub use solver::{
-    solve_transportation, solve_transportation_general, solve_transportation_general_with,
-    solve_transportation_rect, solve_transportation_with, CostAccess, Flow, PivotRule,
-    SolverOptions, TransportError, TransportSolution,
+    solve_transportation, solve_transportation_with, Flow, PivotRule, SolverOptions,
+    TransportError, TransportSolution,
 };
 
 /// Mass-balance tolerance: supplies and demands must agree to within this

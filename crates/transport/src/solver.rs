@@ -11,7 +11,6 @@
 //! the entering cell closes in the basis tree.
 
 use crate::cost::CostMatrix;
-use crate::rect::RectCost;
 use std::fmt;
 
 /// One positive entry of an optimal flow matrix.
@@ -73,60 +72,6 @@ impl fmt::Display for TransportError {
 }
 
 impl std::error::Error for TransportError {}
-
-/// Read access to a (possibly rectangular) cost matrix — lets the solver
-/// core serve both the square histogram case and the rectangular
-/// signature case without copying.
-pub trait CostAccess {
-    /// Number of source rows.
-    fn rows(&self) -> usize;
-    /// Number of sink columns.
-    fn cols(&self) -> usize;
-    /// Cost of cell `(i, j)`.
-    fn at(&self, i: usize, j: usize) -> f64;
-    /// Largest cost (for tolerance scaling).
-    fn max(&self) -> f64;
-    /// Row `i`'s column indices by ascending `(cost, index)`, computed
-    /// once per matrix: the first entry whose column is open is the
-    /// cheapest open cell of the row, the lowest index among equal costs.
-    fn row_order(&self, i: usize) -> &[u32];
-}
-
-impl CostAccess for CostMatrix {
-    fn rows(&self) -> usize {
-        self.len()
-    }
-    fn cols(&self) -> usize {
-        self.len()
-    }
-    fn at(&self, i: usize, j: usize) -> f64 {
-        self.get(i, j)
-    }
-    fn max(&self) -> f64 {
-        self.max_cost()
-    }
-    fn row_order(&self, i: usize) -> &[u32] {
-        self.row_order(i)
-    }
-}
-
-impl CostAccess for RectCost {
-    fn rows(&self) -> usize {
-        self.rows()
-    }
-    fn cols(&self) -> usize {
-        self.cols()
-    }
-    fn at(&self, i: usize, j: usize) -> f64 {
-        self.get(i, j)
-    }
-    fn max(&self) -> f64 {
-        self.max_cost()
-    }
-    fn row_order(&self, i: usize) -> &[u32] {
-        self.row_order(i)
-    }
-}
 
 /// First position at or after `pos` in `order` whose column is open, or
 /// `order.len()` when none is.
@@ -200,61 +145,13 @@ pub fn solve_transportation_with(
             demands: m,
         });
     }
-    solve_transportation_general_with(x, y, cost, options)
-}
-
-/// Solves a balanced transportation problem with a possibly rectangular
-/// cost matrix — the form needed by *signatures* (variable-length
-/// weighted point sets, §1 of the paper).
-///
-/// Supplies index the rows of `cost`, demands its columns; totals must
-/// balance. Use [`solve_transportation`] for the square histogram case.
-pub fn solve_transportation_rect(
-    x: &[f64],
-    y: &[f64],
-    cost: &RectCost,
-) -> Result<TransportSolution, TransportError> {
-    if cost.rows() != x.len() || cost.cols() != y.len() {
-        return Err(TransportError::ShapeMismatch {
-            supplies: x.len(),
-            demands: y.len(),
-        });
-    }
-    solve_transportation_general(x, y, cost)
-}
-
-/// Shared driver over any [`CostAccess`], with default options.
-pub fn solve_transportation_general<C: CostAccess>(
-    x: &[f64],
-    y: &[f64],
-    cost: &C,
-) -> Result<TransportSolution, TransportError> {
-    solve_transportation_general_with(x, y, cost, SolverOptions::default())
-}
-
-/// Shared driver over any [`CostAccess`] with explicit [`SolverOptions`].
-pub fn solve_transportation_general_with<C: CostAccess>(
-    x: &[f64],
-    y: &[f64],
-    cost: &C,
-    options: SolverOptions,
-) -> Result<TransportSolution, TransportError> {
-    let n = x.len();
-    let m = y.len();
     for (i, &v) in x.iter().chain(y.iter()).enumerate() {
         if !v.is_finite() || v < 0.0 {
             return Err(TransportError::InvalidMass { index: i, value: v });
         }
     }
-    if n == 0 || m == 0 {
-        // A degenerate side: feasible only when all mass is zero.
-        let total: f64 = x.iter().chain(y.iter()).sum();
-        if total > 0.0 {
-            return Err(TransportError::Unbalanced {
-                supply: x.iter().sum(),
-                demand: y.iter().sum(),
-            });
-        }
+    if n == 0 {
+        // No bins on either side: nothing to ship.
         return Ok(TransportSolution {
             total_cost: 0.0,
             flows: Vec::new(),
@@ -271,7 +168,7 @@ pub fn solve_transportation_general_with<C: CostAccess>(
     for &(i, j) in &state.basis {
         let f = state.flow[i * m + j];
         if f > 0.0 {
-            total += cost.at(i, j) * f;
+            total += cost.get(i, j) * f;
             flows.push(Flow {
                 from: i,
                 to: j,
@@ -288,10 +185,10 @@ pub fn solve_transportation_general_with<C: CostAccess>(
 
 /// Mutable solver state: the flow matrix, the current basis tree, and
 /// the scratch every pivot reuses (allocated once per solve).
-struct State<'a, C: CostAccess> {
+struct State<'a> {
     n: usize,
     m: usize,
-    cost: &'a C,
+    cost: &'a CostMatrix,
     /// Dense `n × m` flow values; only basic cells are meaningful.
     flow: Vec<f64>,
     /// Basic cells `(row, col)`; always `n + m - 1` entries after init.
@@ -317,8 +214,8 @@ struct State<'a, C: CostAccess> {
     path: Vec<(usize, usize)>,
 }
 
-impl<'a, C: CostAccess> State<'a, C> {
-    fn new(n: usize, m: usize, cost: &'a C) -> Self {
+impl<'a> State<'a> {
+    fn new(n: usize, m: usize, cost: &'a CostMatrix) -> Self {
         State {
             n,
             m,
@@ -352,7 +249,7 @@ impl<'a, C: CostAccess> State<'a, C> {
     /// final one, yielding a spanning-tree basis of `n + m - 1` cells.
     ///
     /// A row's two smallest open costs are read off its pre-sorted
-    /// [`CostAccess::row_order`] through two cursors, at its first and
+    /// [`CostMatrix::row_order`] through two cursors, at its first and
     /// second open column. Closed columns never reopen, so the cursors
     /// only move forward and a row costs amortized O(1) per step instead
     /// of an O(m) rescan. The first open entry is the lowest-index
@@ -378,7 +275,7 @@ impl<'a, C: CostAccess> State<'a, C> {
             let mut best_i = usize::MAX;
             for i in 0..n {
                 if row_open[i] {
-                    let v = cost.at(i, c);
+                    let v = cost.get(i, c);
                     if v < best {
                         second = best;
                         best = v;
@@ -413,7 +310,7 @@ impl<'a, C: CostAccess> State<'a, C> {
                 // A lone open column leaves no second cost: penalty 0.
                 let pen = order
                     .get(*second)
-                    .map_or(0.0, |&k| cost.at(r, k as usize) - cost.at(r, j));
+                    .map_or(0.0, |&k| cost.get(r, k as usize) - cost.get(r, j));
                 if pen > best_pen {
                     best_pen = pen;
                     pick = Some((r, j));
@@ -518,13 +415,13 @@ impl<'a, C: CostAccess> State<'a, C> {
                 if node < n {
                     let (i, j) = (node, other);
                     if v[j].is_nan() {
-                        v[j] = cost.at(i, j) - u[i];
+                        v[j] = cost.get(i, j) - u[i];
                         queue.push(n + j);
                     }
                 } else {
                     let (i, j) = (other, node - n);
                     if u[i].is_nan() {
-                        u[i] = cost.at(i, j) - v[j];
+                        u[i] = cost.get(i, j) - v[j];
                         queue.push(i);
                     }
                 }
@@ -595,7 +492,7 @@ impl<'a, C: CostAccess> State<'a, C> {
     /// Runs MODI iterations until no reduced cost is negative.
     fn optimize(&mut self, options: SolverOptions) -> Result<usize, TransportError> {
         let (n, m) = (self.n, self.m);
-        let scale = self.cost.max().max(1.0);
+        let scale = self.cost.max_cost().max(1.0);
         let tol = OPT_EPS * scale;
         // Generous default cap: transportation simplex converges in O(n·m)
         // pivots in practice; the quadratic-in-cells cap is a safety net.
@@ -613,7 +510,7 @@ impl<'a, C: CostAccess> State<'a, C> {
             'scan: for i in 0..n {
                 for j in 0..m {
                     if !self.is_basic[i * m + j] {
-                        let rc = self.cost.at(i, j) - self.u[i] - self.v[j];
+                        let rc = self.cost.get(i, j) - self.u[i] - self.v[j];
                         if rc < best {
                             best = rc;
                             enter = Some((i, j));

@@ -12,15 +12,17 @@
 //! Euclidean distance between the centroids of a 3-D bin grid (the
 //! `BinGrid` the query engine uses), the line metric `|i − j|`, and a
 //! three-valued matrix whose rows are full of ties. Marginals mix
-//! densities of 0.2, 0.35, 0.6 and 1.0 with integer and real masses, and
-//! a batch of rectangular problems goes through `solve_transportation_rect`.
+//! densities of 0.2, 0.35, 0.6 and 1.0 with integer and real masses.
+//!
+//! [`GOLDEN`] was recorded over these 3,024 square solves, in debug and
+//! release builds, while the solver was still generic over its cost type
+//! and also served rectangular problems; specialising it to
+//! [`CostMatrix`] left every bit in place.
 
-use earthmover_transport::{
-    solve_transportation, solve_transportation_rect, CostMatrix, RectCost, TransportSolution,
-};
+use earthmover_transport::{solve_transportation, CostMatrix, TransportSolution};
 
 /// The hash every build of the solver must reproduce.
-const GOLDEN: u64 = 0x0768_4af1_097c_ef0c;
+const GOLDEN: u64 = 0x0241_bade_4902_2746;
 
 /// Marsaglia's xorshift64: deterministic, dependency-free, good enough to
 /// scatter masses and costs.
@@ -149,22 +151,16 @@ fn masses(bins: usize, density: f64, integer: bool, rng: &mut XorShift) -> Vec<f
 /// A balanced pair of marginals. Integer masses are balanced by topping
 /// up a random bin of the lighter side; real masses are both normalized
 /// to one.
-fn marginals(
-    rows: usize,
-    cols: usize,
-    density: f64,
-    integer: bool,
-    rng: &mut XorShift,
-) -> (Vec<f64>, Vec<f64>) {
-    let mut x = masses(rows, density, integer, rng);
-    let mut y = masses(cols, density, integer, rng);
+fn marginals(bins: usize, density: f64, integer: bool, rng: &mut XorShift) -> (Vec<f64>, Vec<f64>) {
+    let mut x = masses(bins, density, integer, rng);
+    let mut y = masses(bins, density, integer, rng);
     let (sx, sy): (f64, f64) = (x.iter().sum(), y.iter().sum());
     if integer {
         if sx < sy {
-            let at = rng.below(rows as u64) as usize;
+            let at = rng.below(bins as u64) as usize;
             x[at] += sy - sx;
         } else {
-            let at = rng.below(cols as u64) as usize;
+            let at = rng.below(bins as u64) as usize;
             y[at] += sx - sy;
         }
     } else {
@@ -186,29 +182,8 @@ fn golden_hash() -> (u64, usize) {
             for density in [0.2, 0.35, 0.6, 1.0] {
                 for integer in [true, false] {
                     for _ in 0..reps {
-                        let (x, y) = marginals(bins, bins, density, integer, &mut rng);
+                        let (x, y) = marginals(bins, density, integer, &mut rng);
                         let sol = solve_transportation(&x, &y, cost).expect("solvable");
-                        hash.solution(&sol);
-                        solves += 1;
-                    }
-                }
-            }
-        }
-    }
-    for (rows, cols) in [(3, 5), (7, 4), (12, 20), (20, 9), (1, 6), (16, 16)] {
-        for tie_heavy in [false, true] {
-            let cost = RectCost::from_fn(rows, cols, |_, _| {
-                if tie_heavy {
-                    rng.below(3) as f64
-                } else {
-                    rng.unit() * 10.0
-                }
-            });
-            for density in [0.35, 1.0] {
-                for integer in [true, false] {
-                    for _ in 0..3 {
-                        let (x, y) = marginals(rows, cols, density, integer, &mut rng);
-                        let sol = solve_transportation_rect(&x, &y, &cost).expect("solvable");
                         hash.solution(&sol);
                         solves += 1;
                     }
@@ -222,7 +197,7 @@ fn golden_hash() -> (u64, usize) {
 #[test]
 fn solver_output_bits_match_the_golden_hash() {
     let (hash, solves) = golden_hash();
-    assert_eq!(solves, 3_168);
+    assert_eq!(solves, 3_024);
     assert_eq!(
         hash, GOLDEN,
         "solver output moved: hash {hash:#018x} over {solves} solves"

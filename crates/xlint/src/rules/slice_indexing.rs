@@ -3,9 +3,11 @@
 //! `expr[..]` indexing panics out of bounds. Existing sites are
 //! grandfathered through a per-file ratchet baseline
 //! (`[baseline.slice_indexing]` in `xlint.toml`): a file may shrink its
-//! count but never grow it. The rest of the panic rule — no `unwrap`,
-//! `expect`, `panic!`, `unreachable!` in library code — is held by
-//! clippy's deny attributes at the crate roots.
+//! count but never grow it. An entry naming no scanned file is noted like
+//! any other slack, so a file re-created at that path starts from zero.
+//! The rest of the panic rule — no `unwrap`, `expect`, `panic!`,
+//! `unreachable!` in library code — is held by clippy's deny attributes
+//! at the crate roots.
 
 use super::{files_in_scope, is_punct, Emitter};
 use crate::config::Config;
@@ -27,7 +29,8 @@ const NON_INDEX_PREFIX: &[&str] = &[
 /// Runs the ratcheted slice-indexing check.
 pub fn run(ws: &Workspace, cfg: &Config, em: &mut Emitter) {
     let baseline = cfg.int_table("baseline.slice_indexing");
-    for fi in files_in_scope(ws, cfg, RULE) {
+    let scope = files_in_scope(ws, cfg, RULE);
+    for &fi in &scope {
         let lexed = &ws.files[fi].lexed;
         let mut candidates: Vec<(usize, usize)> = Vec::new();
         for (i, tok) in lexed.tokens.iter().enumerate() {
@@ -64,11 +67,22 @@ pub fn run(ws: &Workspace, cfg: &Config, em: &mut Emitter) {
                 });
             }
         } else if candidates.len() < allowed {
-            em.report.notes.push(format!(
-                "{path}: slice_indexing baseline is {allowed} but only {} sites remain — \
-                 tighten xlint.toml",
-                candidates.len()
-            ));
+            em.report
+                .notes
+                .push(slack_note(&path, allowed, candidates.len()));
         }
     }
+    for (path, &allowed) in &baseline {
+        if allowed > 0 && !scope.iter().any(|&fi| ws.files[fi].path == *path) {
+            em.report.notes.push(slack_note(path, allowed as usize, 0));
+        }
+    }
+}
+
+/// The note for a baseline entry that allows more sites than remain.
+fn slack_note(path: &str, allowed: usize, sites: usize) -> String {
+    format!(
+        "{path}: slice_indexing baseline is {allowed} but only {sites} sites remain — \
+         tighten xlint.toml"
+    )
 }

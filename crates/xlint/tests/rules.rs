@@ -67,6 +67,24 @@ fn slice_indexing_shrinking_below_baseline_notes_the_ratchet() {
 }
 
 #[test]
+fn slice_indexing_notes_a_baseline_entry_for_a_missing_file() {
+    let src = "pub fn f(v: &[u32]) -> u32 { v[0] }\n";
+    let cfg = only(
+        "slice_indexing",
+        "[baseline.slice_indexing]\n\"crates/demo/src/lib.rs\" = 1\n\
+         \"crates/demo/src/gone.rs\" = 3\n",
+    );
+    let r = run(&cfg, &[("crates/demo/src/lib.rs", src)]);
+    assert!(r.is_clean(), "{}", r.to_human());
+    assert_eq!(r.notes.len(), 1, "{:?}", r.notes);
+    assert!(
+        r.notes[0].starts_with("crates/demo/src/gone.rs: slice_indexing baseline is 3 but only 0"),
+        "{}",
+        r.notes[0]
+    );
+}
+
+#[test]
 fn slice_indexing_ignores_types_attributes_and_test_code() {
     let src = r#"
 #[derive(Debug)]

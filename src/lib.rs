@@ -15,6 +15,9 @@
 //! | [`transport`] | `earthmover-transport` | exact EMD via the transportation simplex |
 //! | [`lp`] | `earthmover-lp` | generic dense-tableau LP solver (baseline + cross-validation) |
 //! | [`rtree`] | `earthmover-rtree` | R-tree index with incremental ranking |
+//! | [`mtree`] | `earthmover-mtree` | M-tree metric index, the direct-indexing baseline of §3.1 |
+//! | [`storage_engine`] | `earthmover-storage` | checksummed page file, columnar histogram blocks, block buffer pool |
+//! | [`obs`] | `earthmover-obs` | tracing spans and the metrics registry |
 //! | [`imaging`] | `earthmover-imaging` | synthetic corpus, color spaces, histogram extraction, PPM/PGM |
 //! | [`serve`] | `earthmover-serve` | `emdd` network query daemon: wire protocol, admission control, deadlines |
 //!
@@ -66,6 +69,5 @@ pub use earthmover_core::multistep::{
 };
 pub use earthmover_core::pipeline::{FirstStage, KnnAlgorithm, QueryEngine};
 pub use earthmover_core::quadratic_form::QuadraticForm;
-pub use earthmover_core::signature::Signature;
 pub use earthmover_core::sketch_tier::{RetrievalInfo, RetrievalMode, SketchTier};
-pub use earthmover_transport::{emd, emd_partial, emd_with_flow, CostMatrix, RectCost};
+pub use earthmover_transport::{emd, emd_with_flow, CostMatrix};
