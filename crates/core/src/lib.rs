@@ -74,7 +74,6 @@ pub mod ground;
 pub mod histogram;
 pub mod lower_bounds;
 pub mod multistep;
-pub mod notes;
 pub mod parallel;
 pub mod pipeline;
 pub mod provider;

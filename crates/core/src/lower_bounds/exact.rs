@@ -5,7 +5,7 @@ use super::DistanceMeasure;
 use crate::error::PipelineError;
 use crate::histogram::Histogram;
 use earthmover_lp::{Problem, Relation};
-use earthmover_obs as obs;
+use earthmover_obs::{self as obs, names};
 use earthmover_transport::{
     emd_with_options, CostMatrix, PivotRule, SolverOptions, TransportError,
 };
@@ -81,7 +81,7 @@ impl ExactEmd {
             x.mass(),
             y.mass()
         );
-        let mut span = obs::span!("exact_emd", bins = x.len());
+        let mut span = obs::span!(names::EXACT_EMD, bins = x.len());
         let default = SolverOptions::default();
         match emd_with_options(x.bins(), y.bins(), &self.cost, default) {
             Ok(v) => {

@@ -7,7 +7,7 @@ use crate::error::PipelineError;
 use crate::histogram::Histogram;
 use crate::lower_bounds::{DistanceKernel, DistanceMeasure};
 use crate::stats::{stage, QueryStats};
-use earthmover_obs as obs;
+use earthmover_obs::{self as obs, names};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
@@ -106,7 +106,7 @@ pub fn range_query_within(
     exact: &dyn DistanceMeasure,
     deadline: Deadline,
 ) -> Result<QueryResult, PipelineError> {
-    let mut span = obs::span!("range_query", epsilon = epsilon);
+    let mut span = obs::span!(names::RANGE_QUERY, epsilon = epsilon);
     let start = Instant::now();
     let mut stats = QueryStats {
         db_size: db.len(),
@@ -195,7 +195,7 @@ pub fn gemini_knn_within(
     exact: &dyn DistanceMeasure,
     deadline: Deadline,
 ) -> Result<QueryResult, PipelineError> {
-    let mut span = obs::span!("gemini_knn", k = k);
+    let mut span = obs::span!(names::GEMINI_KNN, k = k);
     let start = Instant::now();
     let mut stats = QueryStats {
         db_size: db.len(),
@@ -356,7 +356,7 @@ pub fn optimal_knn_relaxed_within(
     } else {
         0.0
     };
-    let mut span = obs::span!("optimal_knn", k = k, relax = relax);
+    let mut span = obs::span!(names::OPTIMAL_KNN, k = k, relax = relax);
     let start = Instant::now();
     let mut stats = QueryStats {
         db_size: db.len(),
@@ -463,7 +463,7 @@ pub fn linear_scan_knn_within(
     exact: &dyn DistanceMeasure,
     deadline: Deadline,
 ) -> Result<QueryResult, PipelineError> {
-    let mut span = obs::span!("linear_scan_knn", k = k);
+    let mut span = obs::span!(names::LINEAR_SCAN_KNN, k = k);
     let start = Instant::now();
     let mut stats = QueryStats {
         db_size: db.len(),

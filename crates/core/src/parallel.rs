@@ -13,7 +13,7 @@ use crate::db::HistogramDb;
 use crate::error::PipelineError;
 use crate::histogram::Histogram;
 use crate::lower_bounds::DistanceMeasure;
-use earthmover_obs as obs;
+use earthmover_obs::{self as obs, names};
 
 /// Computes `measure(q, o)` for every object of the database, in id
 /// order, using up to `threads` worker threads.
@@ -64,7 +64,7 @@ pub fn try_scan_distances(
     let dims = db.dims();
     let kernel = measure.prepare(q);
     let mut out = vec![0.0f64; n];
-    let _span = obs::span!("block_scan", rows = n, threads = threads);
+    let _span = obs::span!(names::BLOCK_SCAN, rows = n, threads = threads);
 
     if let Some(arena) = db.resident_arena() {
         if threads == 1 {

@@ -30,7 +30,7 @@ use crate::multistep::{
 };
 use crate::reduce::{AvgReducer, ManhattanReducer};
 use crate::sketch_tier::{RetrievalInfo, RetrievalMode, SketchTier, SKETCH_UNAVAILABLE_NOTE};
-use earthmover_obs as obs;
+use earthmover_obs::{self as obs, names};
 
 /// How the first (candidate-generating) stage is organized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -317,7 +317,7 @@ impl<'a> QueryEngine<'a> {
         k: usize,
         deadline: Deadline,
     ) -> Result<QueryResult, PipelineError> {
-        let mut span = obs::span!("engine_knn", k = k);
+        let mut span = obs::span!(names::ENGINE_KNN, k = k);
         match self.knn_on(self.stage.as_source(), q, k, deadline) {
             Err(PipelineError::Source { stage, reason }) => {
                 span.record("degraded", 1.0);
@@ -367,7 +367,7 @@ impl<'a> QueryEngine<'a> {
                 Ok(result)
             }
             RetrievalMode::Approximate { epsilon } => {
-                let mut span = obs::span!("engine_knn", k = k);
+                let mut span = obs::span!(names::ENGINE_KNN, k = k);
                 span.record("relax", epsilon);
                 let run = |source: &dyn CandidateSource| {
                     optimal_knn_relaxed_within(
@@ -437,7 +437,7 @@ impl<'a> QueryEngine<'a> {
         epsilon: f64,
         deadline: Deadline,
     ) -> Result<QueryResult, PipelineError> {
-        let mut span = obs::span!("engine_range", epsilon = epsilon);
+        let mut span = obs::span!(names::ENGINE_RANGE, epsilon = epsilon);
         let run = |source: &dyn CandidateSource| {
             range_query_within(
                 source,

@@ -32,7 +32,7 @@ use crate::error::PipelineError;
 use crate::ground::BinGrid;
 use crate::histogram::Histogram;
 use crate::stats::QueryStats;
-use earthmover_obs as obs;
+use earthmover_obs::{self as obs, names};
 use earthmover_sketch::{
     load_sidecar, save_sidecar, Sketch, SketchIndex, SketchSidecar, TreeEmbedding,
 };
@@ -177,7 +177,7 @@ impl SketchTier {
                 ),
             });
         }
-        let mut span = obs::span!("sketch_build", rows = db.len());
+        let mut span = obs::span!(names::SKETCH_BUILD, rows = db.len());
         let tree_sketch = TreeEmbedding::new(grid.centroids(), seed).map_err(sketch_err)?;
         span.record("distortion", tree_sketch.distortion());
         let mut tree = SketchIndex::new(tree_sketch);
@@ -228,7 +228,7 @@ impl SketchTier {
     /// ascending by `(distance, id)` — one tiled pass over the sketch
     /// arena, no exact-EMD evaluation.
     pub fn knn(&self, query: &Histogram, k: usize) -> Result<Vec<(usize, f64)>, PipelineError> {
-        let _span = obs::span!("sketch_scan", k = k, rows = self.rows());
+        let _span = obs::span!(names::SKETCH_SCAN, k = k, rows = self.rows());
         self.tree.knn(query.bins(), k).map_err(sketch_err)
     }
 

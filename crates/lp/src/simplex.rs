@@ -8,7 +8,7 @@
 
 use crate::tableau::Tableau;
 use crate::{LpError, Problem, Relation, Sense, Solution, EPS};
-use earthmover_obs as obs;
+use earthmover_obs::{self as obs, names};
 
 /// Tuning knobs for [`solve`].
 #[derive(Debug, Clone, Default)]
@@ -25,7 +25,7 @@ pub fn solve(problem: &Problem, options: &SolveOptions) -> Result<Solution, LpEr
     problem.validate()?;
     let n = problem.num_vars();
     let m = problem.constraints.len();
-    let mut span = obs::span!("lp_solve", vars = n, constraints = m);
+    let mut span = obs::span!(names::LP_SOLVE, vars = n, constraints = m);
 
     // Column layout: [0, n) structural, then one slack/surplus per Le/Ge
     // row, then one artificial per Ge/Eq row.

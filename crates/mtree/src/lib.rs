@@ -49,7 +49,7 @@
 #![deny(clippy::panic, clippy::unreachable)]
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
-use earthmover_obs as obs;
+use earthmover_obs::{self as obs, names};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -358,7 +358,7 @@ impl<T: Clone, D: Fn(&T, &T) -> f64> MTree<T, D> {
     /// their distances, plus the number of metric evaluations this query
     /// performed.
     pub fn range(&self, q: &T, epsilon: f64) -> (Vec<(T, f64)>, u64) {
-        let mut span = obs::span!("mtree_range", epsilon = epsilon);
+        let mut span = obs::span!(names::MTREE_RANGE, epsilon = epsilon);
         let before = self.evaluations.get();
         let mut out = Vec::new();
         if self.len > 0 {
@@ -417,7 +417,7 @@ impl<T: Clone, D: Fn(&T, &T) -> f64> MTree<T, D> {
     /// k-nearest neighbors by best-first search, with the number of
     /// metric evaluations the query performed.
     pub fn knn(&self, q: &T, k: usize) -> (Vec<(T, f64)>, u64) {
-        let mut span = obs::span!("mtree_knn", k = k);
+        let mut span = obs::span!(names::MTREE_KNN, k = k);
         let before = self.evaluations.get();
         if k == 0 || self.len == 0 {
             return (Vec::new(), 0);
@@ -436,7 +436,7 @@ impl<T: Clone, D: Fn(&T, &T) -> f64> MTree<T, D> {
             match item.kind {
                 ItemKind::Object(obj) => result.push((obj, item.bound)),
                 ItemKind::Node(node) => {
-                    obs::event!("mtree_node_access");
+                    obs::event!(names::MTREE_NODE_ACCESS);
                     match &self.nodes[node] {
                         Node::Leaf(entries) => {
                             for e in entries {

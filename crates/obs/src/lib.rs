@@ -7,13 +7,13 @@
 //! time per filter stage — so the workspace instruments its hot paths end
 //! to end. This crate supplies the two mechanisms everything else uses:
 //!
-//! * **Spans** ([`span!`]) and **events** ([`event!`]): named, nestable
-//!   timing scopes with numeric attributes, reported to a pluggable
-//!   [`Subscriber`]. With no subscriber installed (the default) a span is
-//!   a no-op that never reads the clock; installing a
-//!   [`RingRecorder`] (in-memory ring buffer) or a [`JsonLinesEmitter`]
-//!   (machine-readable JSON-lines stream) turns the same call sites into
-//!   a trace.
+//! * **Spans** ([`span!`]) and **events** ([`event!`]): nestable timing
+//!   scopes named by a [`names`] constant, with numeric attributes,
+//!   reported to a pluggable [`Subscriber`]. With no subscriber
+//!   installed (the default) a span is a no-op that never reads the
+//!   clock; installing a [`RingRecorder`] (in-memory ring buffer) or a
+//!   [`JsonLinesEmitter`] (machine-readable JSON-lines stream) turns the
+//!   same call sites into a trace.
 //! * **Metrics** ([`MetricsRegistry`]): counters, gauges, and log-scale
 //!   latency histograms (p50/p95/p99), exportable as Prometheus text
 //!   format or JSON. The registry is an ordinary value — no global state;
@@ -29,17 +29,17 @@
 //! let recorder = Arc::new(obs::RingRecorder::new(128));
 //! let _guard = obs::install(recorder.clone());
 //! {
-//!     let mut span = obs::span!("exact_emd", pairs = 3);
+//!     let mut span = obs::span!(obs::names::EXACT_EMD, pairs = 3);
 //!     span.record("rung", 0.0);
 //! } // closed on drop
 //! assert_eq!(recorder.snapshot().len(), 1);
 //!
 //! // Aggregate into a registry and export.
 //! let registry = obs::MetricsRegistry::new();
-//! registry.counter("queries_total").inc(1);
-//! registry.histogram("query_seconds").observe_secs(0.004);
+//! registry.counter(&obs::names::SERVE_REQUESTS_TOTAL).inc(1);
+//! registry.histogram(&obs::names::SERVE_KNN_SECONDS).observe_secs(0.004);
 //! let text = registry.to_prometheus();
-//! assert!(text.contains("queries_total 1"));
+//! assert!(text.contains("serve_requests_total 1"));
 //! ```
 //!
 //! The crate is dependency-free by design: it is compiled into every hot

@@ -6,6 +6,7 @@
 //! touches the clock*. Only with a subscriber installed does a span take
 //! timestamps, carry attributes, and report a [`SpanRecord`] on drop.
 
+use crate::names::Name;
 use crate::subscriber::Subscriber;
 use crate::trace::{self, TraceIds};
 use std::cell::{Cell, RefCell};
@@ -114,7 +115,7 @@ pub struct Span {
 impl Span {
     /// Opens a span named `name` with initial attributes. Prefer the
     /// [`crate::span!`] macro, which provides the `key = value` sugar.
-    pub fn new(name: &'static str, attrs: &[(&'static str, f64)]) -> Span {
+    pub fn new(name: Name, attrs: &[(&'static str, f64)]) -> Span {
         let Some(subscriber) = current_subscriber() else {
             return Span { active: None };
         };
@@ -139,7 +140,7 @@ impl Span {
         };
         Span {
             active: Some(ActiveSpan {
-                name,
+                name: name.as_str(),
                 start: Instant::now(),
                 depth,
                 attrs: attrs.to_vec(),
@@ -190,7 +191,7 @@ impl Drop for Span {
 
 /// Emits an instantaneous event to the installed subscriber (no-op when
 /// none is installed). Prefer the [`crate::event!`] macro.
-pub fn emit_event(name: &'static str, attrs: &[(&'static str, f64)]) {
+pub fn emit_event(name: Name, attrs: &[(&'static str, f64)]) {
     if let Some(subscriber) = current_subscriber() {
         let trace_ids = trace::current_raw().map(|(trace_id, parent, _)| TraceIds {
             trace_id,
@@ -198,7 +199,7 @@ pub fn emit_event(name: &'static str, attrs: &[(&'static str, f64)]) {
             parent_span_id: parent,
         });
         subscriber.on_close(&SpanRecord {
-            name,
+            name: name.as_str(),
             kind: SpanKind::Event,
             depth: DEPTH.with(|d| d.get()),
             elapsed: Duration::ZERO,
@@ -208,8 +209,14 @@ pub fn emit_event(name: &'static str, attrs: &[(&'static str, f64)]) {
     }
 }
 
-/// Opens a [`Span`]: `span!("name")` or `span!("name", pairs = n, k = 5)`.
-/// Attribute values are converted with `as f64`.
+/// Opens a [`Span`]: `span!(names::EXACT_EMD)` or
+/// `span!(names::OPTIMAL_KNN, k = 5, relax = r)`. The name is a
+/// [`crate::names`] constant; attribute values are converted with
+/// `as f64`. A string literal does not compile:
+///
+/// ```compile_fail
+/// let _span = earthmover_obs::span!("engine_knn");
+/// ```
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
@@ -220,8 +227,9 @@ macro_rules! span {
     };
 }
 
-/// Emits an instantaneous event: `event!("name")` or
-/// `event!("name", page = id)`. Attribute values are converted with
+/// Emits an instantaneous event: `event!(names::SHARD_RETRY)` or
+/// `event!(names::STORAGE_PAGE_READ, page = id)`. The name is a
+/// [`crate::names`] constant; attribute values are converted with
 /// `as f64`.
 #[macro_export]
 macro_rules! event {
@@ -238,9 +246,19 @@ mod tests {
     use super::*;
     use crate::RingRecorder;
 
+    const NOTHING: Name = Name::new("nothing");
+    const OUTER: Name = Name::new("outer");
+    const INNER: Name = Name::new("inner");
+    const S: Name = Name::new("s");
+    const TICK: Name = Name::new("tick");
+    const TO_A: Name = Name::new("to_a");
+    const TO_B: Name = Name::new("to_b");
+    const ONE: Name = Name::new("one");
+    const TWO: Name = Name::new("two");
+
     #[test]
     fn no_subscriber_means_inert_span() {
-        let span = crate::span!("nothing", x = 1);
+        let span = crate::span!(NOTHING, x = 1);
         assert!(!span.is_recording());
     }
 
@@ -249,9 +267,9 @@ mod tests {
         let recorder = Arc::new(RingRecorder::new(16));
         let _guard = install(recorder.clone());
         {
-            let _outer = crate::span!("outer");
+            let _outer = crate::span!(OUTER);
             {
-                let _inner = crate::span!("inner", k = 3);
+                let _inner = crate::span!(INNER, k = 3);
             }
         }
         let records = recorder.snapshot();
@@ -269,7 +287,7 @@ mod tests {
         let recorder = Arc::new(RingRecorder::new(4));
         let _guard = install(recorder.clone());
         {
-            let mut span = crate::span!("s", a = 1);
+            let mut span = crate::span!(S, a = 1);
             span.record("a", 2.0);
             span.record("b", 9.0);
         }
@@ -282,7 +300,7 @@ mod tests {
     fn events_are_instantaneous() {
         let recorder = Arc::new(RingRecorder::new(4));
         let _guard = install(recorder.clone());
-        crate::event!("tick", page = 7);
+        crate::event!(TICK, page = 7);
         let r = &recorder.snapshot()[0];
         assert_eq!(r.kind, SpanKind::Event);
         assert_eq!(r.elapsed, Duration::ZERO);
@@ -296,9 +314,9 @@ mod tests {
         let _ga = install(a.clone());
         {
             let _gb = install(b.clone());
-            crate::event!("to_b");
+            crate::event!(TO_B);
         }
-        crate::event!("to_a");
+        crate::event!(TO_A);
         assert_eq!(b.snapshot().len(), 1);
         assert_eq!(a.snapshot().len(), 1);
         assert_eq!(a.snapshot()[0].name, "to_a");
@@ -309,10 +327,10 @@ mod tests {
         let recorder = Arc::new(RingRecorder::new(8));
         let _guard = install(recorder.clone());
         {
-            let _s = crate::span!("one");
+            let _s = crate::span!(ONE);
         }
         {
-            let _s = crate::span!("two");
+            let _s = crate::span!(TWO);
         }
         let records = recorder.snapshot();
         assert_eq!(records[0].depth, 0);

@@ -185,7 +185,7 @@ pub fn fresh_id() -> u64 {
 /// std::thread::scope(|scope| {
 ///     scope.spawn(move || {
 ///         let _telemetry = propagation.install();
-///         let _span = obs::span!("worker_step");
+///         let _span = obs::span!(obs::names::SHARD_CALL);
 ///     });
 /// });
 /// ```
@@ -224,7 +224,7 @@ pub struct PropagationGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RingRecorder, SpanKind};
+    use crate::{names, RingRecorder, SpanKind};
     use std::sync::Arc;
 
     #[test]
@@ -261,7 +261,7 @@ mod tests {
         let recorder = Arc::new(RingRecorder::new(4));
         let _guard = crate::install(recorder.clone());
         {
-            let _span = crate::span!("bare");
+            let _span = crate::span!(names::EXACT_EMD);
         }
         assert!(recorder.snapshot()[0].trace.is_none());
     }
@@ -273,9 +273,9 @@ mod tests {
         let root = TraceContext::root(true);
         let _trace = set_trace(Some(root));
         {
-            let _outer = crate::span!("outer");
+            let _outer = crate::span!(names::ENGINE_KNN);
             {
-                let _inner = crate::span!("inner");
+                let _inner = crate::span!(names::OPTIMAL_KNN);
             }
         }
         let records = recorder.snapshot();
@@ -296,7 +296,7 @@ mod tests {
         let root = TraceContext::root(true);
         let _trace = set_trace(Some(root));
         let observed = {
-            let _outer = crate::span!("outer");
+            let _outer = crate::span!(names::ENGINE_KNN);
             current_trace().unwrap()
         };
         let outer = recorder.snapshot()[0].trace.unwrap();
@@ -311,8 +311,8 @@ mod tests {
         let _guard = crate::install(recorder.clone());
         let _trace = set_trace(Some(TraceContext::root(true)));
         {
-            let _outer = crate::span!("outer");
-            crate::event!("tick");
+            let _outer = crate::span!(names::ENGINE_KNN);
+            crate::event!(names::SHARD_RETRY);
         }
         let records = recorder.snapshot();
         assert_eq!(records[0].kind, SpanKind::Event);
@@ -332,7 +332,7 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(move || {
                 let _telemetry = propagation.install();
-                let _span = crate::span!("remote_leg");
+                let _span = crate::span!(names::SHARD_CALL);
             });
         });
         let records = recorder.snapshot();

@@ -3,7 +3,7 @@
 
 use crate::metric::PointMetric;
 use crate::rect::Rect;
-use earthmover_obs as obs;
+use earthmover_obs::{self as obs, names};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -307,7 +307,7 @@ impl RTree {
         stats: &mut QueryStats,
     ) -> Vec<(u64, f64)> {
         assert_eq!(q.len(), self.dims, "query arity mismatch");
-        let mut span = obs::span!("rtree_range", epsilon = epsilon);
+        let mut span = obs::span!(names::RTREE_RANGE, epsilon = epsilon);
         let before = (stats.node_accesses, stats.distance_evaluations);
         let mut out = Vec::new();
         if self.len == 0 {
@@ -721,7 +721,7 @@ fn advance_ranking<M: PointMetric>(
             ItemKind::Point(id) => return Some((id, item.dist)),
             ItemKind::Node(node) => {
                 stats.node_accesses += 1;
-                obs::event!("rtree_node_access");
+                obs::event!(names::RTREE_NODE_ACCESS);
                 match &tree.nodes[node] {
                     Node::Leaf(entries) => {
                         for e in entries {

@@ -33,6 +33,7 @@
 use earthmover_core::ground::BinGrid;
 use earthmover_core::{Histogram, HistogramDb};
 use earthmover_imaging::corpus::{CorpusConfig, SyntheticCorpus};
+use earthmover_obs::names::{self, Name};
 use earthmover_obs::{json_f64, MetricsRegistry};
 use earthmover_serve::client::{Client, Outcome};
 use earthmover_serve::coord::{shard_of, ClusterConfig, ClusterShared, Coordinator, GroupSpec};
@@ -355,15 +356,15 @@ fn run() -> Result<(), String> {
 
 /// The four resilience counters snapshotted per level, in order:
 /// retries, failovers, hedges fired, breaker opens.
-const CLUSTER_COUNTERS: [&str; 4] = [
-    "shard_retries_total",
-    "shard_failovers_total",
-    "shard_hedges_total",
-    "shard_breaker_open_total",
+const CLUSTER_COUNTERS: [Name; 4] = [
+    names::SHARD_RETRIES_TOTAL,
+    names::SHARD_FAILOVERS_TOTAL,
+    names::SHARD_HEDGES_TOTAL,
+    names::SHARD_BREAKER_OPEN_TOTAL,
 ];
 
 fn counter_snapshot(registry: &MetricsRegistry) -> [u64; 4] {
-    CLUSTER_COUNTERS.map(|name| registry.counter(name).get())
+    CLUSTER_COUNTERS.map(|name| registry.counter(&name).get())
 }
 
 /// Splits the corpus into per-shard databases using the coordinator's

@@ -19,7 +19,7 @@
 //! judged globally, not per-worker. All transitions are driven by the
 //! calls themselves — there is no background thread.
 
-use earthmover_obs as obs;
+use earthmover_obs::{self as obs, names};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -123,7 +123,7 @@ impl CircuitBreaker {
                 }
                 g.state = BreakerState::HalfOpen;
                 g.probes_in_flight = 1;
-                obs::event!("breaker_half_open");
+                obs::event!(names::BREAKER_HALF_OPEN);
                 Admission::Probe
             }
             BreakerState::HalfOpen => {
@@ -146,7 +146,7 @@ impl CircuitBreaker {
         g.opened_at = None;
         g.probes_in_flight = 0;
         if was != BreakerState::Closed {
-            obs::event!("breaker_close");
+            obs::event!(names::BREAKER_CLOSE);
         }
     }
 
@@ -161,7 +161,7 @@ impl CircuitBreaker {
                 g.state = BreakerState::Open;
                 g.opened_at = Some(Instant::now());
                 g.probes_in_flight = 0;
-                obs::event!("breaker_open");
+                obs::event!(names::BREAKER_OPEN);
                 true
             }
             BreakerState::Closed => {
@@ -169,7 +169,7 @@ impl CircuitBreaker {
                 if g.consecutive_failures >= self.cfg.failure_threshold {
                     g.state = BreakerState::Open;
                     g.opened_at = Some(Instant::now());
-                    obs::event!("breaker_open");
+                    obs::event!(names::BREAKER_OPEN);
                     true
                 } else {
                     false

@@ -27,7 +27,7 @@ use crate::shard::{GroupReply, LatencyTracker, ShardEndpoint, ShardGroup, ShardQ
 use earthmover_core::deadline::Deadline;
 use earthmover_core::stats::{QueryStats, ShardProvenance};
 use earthmover_core::Histogram;
-use earthmover_obs::{self as obs, MetricsRegistry};
+use earthmover_obs::{self as obs, names, MetricsRegistry};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -423,8 +423,8 @@ impl Coordinator {
         k: u32,
         deadline_us: u64,
     ) -> Result<Outcome, CoordError> {
-        let _span = obs::span!("coord_request");
-        self.shared.registry.counter("coord_knn_total").inc(1);
+        let _span = obs::span!(names::COORD_REQUEST);
+        self.shared.registry.counter(&names::COORD_KNN_TOTAL).inc(1);
         let query = ShardQuery::Knn {
             histogram: self.validated(histogram)?,
             k,
@@ -445,10 +445,13 @@ impl Coordinator {
         deadline_us: u64,
         mode: earthmover_core::RetrievalMode,
     ) -> Result<Outcome, CoordError> {
-        let _span = obs::span!("coord_request");
-        self.shared.registry.counter("coord_knn_total").inc(1);
+        let _span = obs::span!(names::COORD_REQUEST);
+        self.shared.registry.counter(&names::COORD_KNN_TOTAL).inc(1);
         if matches!(mode, earthmover_core::RetrievalMode::SketchOnly) {
-            self.shared.registry.counter("sketch_queries_total").inc(1);
+            self.shared
+                .registry
+                .counter(&names::SKETCH_QUERIES_TOTAL)
+                .inc(1);
         }
         let query = ShardQuery::Knn {
             histogram: self.validated(histogram)?,
@@ -467,8 +470,11 @@ impl Coordinator {
         epsilon: f64,
         deadline_us: u64,
     ) -> Result<Outcome, CoordError> {
-        let _span = obs::span!("coord_request");
-        self.shared.registry.counter("coord_range_total").inc(1);
+        let _span = obs::span!(names::COORD_REQUEST);
+        self.shared
+            .registry
+            .counter(&names::COORD_RANGE_TOTAL)
+            .inc(1);
         let query = ShardQuery::Range {
             histogram: self.validated(histogram)?,
             epsilon,
@@ -541,7 +547,7 @@ impl Coordinator {
                 let leg_telemetry = telemetry.clone();
                 scope.spawn(move || {
                     let _scope = leg_telemetry.install();
-                    let _span = obs::span!("shard_call", group = group.index() as u32);
+                    let _span = obs::span!(names::SHARD_CALL, group = group.index() as u32);
                     *slot = Some(group.call(query, shard_deadline, hedge_after, salt));
                 });
             }
@@ -608,9 +614,9 @@ impl Coordinator {
                     };
                     shared
                         .registry
-                        .counter("coord_shard_unavailable_total")
+                        .counter(&names::COORD_SHARD_UNAVAILABLE_TOTAL)
                         .inc(1);
-                    obs::event!("coord_shard_unavailable");
+                    obs::event!(names::COORD_SHARD_UNAVAILABLE);
                     stats.record_degradation_once(&format!(
                         "{SHARD_UNAVAILABLE_NOTE}: shard group {i} ({reason})"
                     ));
@@ -625,7 +631,10 @@ impl Coordinator {
         stats.results = items.len() as u64;
         stats.add_stage_elapsed(COORD_STAGE, started.elapsed());
         if degraded || stats.deadline_expired {
-            self.shared.registry.counter("coord_partial_total").inc(1);
+            self.shared
+                .registry
+                .counter(&names::COORD_PARTIAL_TOTAL)
+                .inc(1);
             Outcome::Partial { items, stats }
         } else {
             Outcome::Complete { items, stats }

@@ -23,7 +23,7 @@ use crate::fleet::FleetTelemetry;
 use crate::protocol::{self, ErrorCode, Request, RequestExt, Response};
 use crate::runtime::{self, Background, Handler, Limits, Names};
 use crate::server::StopHandle;
-use earthmover_obs::{self as obs, MetricsRegistry, Subscriber};
+use earthmover_obs::{self as obs, names, MetricsRegistry, Subscriber};
 use std::io;
 use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -161,15 +161,15 @@ impl Handler for Shared {
     type Worker = Coordinator;
     const NAMES: Names = Names {
         daemon: "emdd-coord",
-        connection_span: "coord_connection",
-        shed_event: "coord_shed",
-        connections_total: "coord_connections_total",
-        shed_total: "coord_shed_total",
-        errors_total: "coord_errors_total",
-        requests_total: "coord_requests_total",
-        queue_depth: "coord_queue_depth",
-        queue_wait_seconds: "coord_queue_wait_seconds",
-        active_connections: "coord_active_connections",
+        connection_span: names::COORD_CONNECTION,
+        shed_event: names::COORD_SHED,
+        connections_total: names::COORD_CONNECTIONS_TOTAL,
+        shed_total: names::COORD_SHED_TOTAL,
+        errors_total: names::COORD_ERRORS_TOTAL,
+        requests_total: names::COORD_REQUESTS_TOTAL,
+        queue_depth: names::COORD_QUEUE_DEPTH,
+        queue_wait_seconds: names::COORD_QUEUE_WAIT_SECONDS,
+        active_connections: names::COORD_ACTIVE_CONNECTIONS,
     };
 
     fn registry(&self) -> &MetricsRegistry {
@@ -199,7 +199,7 @@ impl Handler for Shared {
             Ok((_, _)) if is_query && self.cfg.trace_sample_every > 0 => {
                 let n = self.sampler.fetch_add(1, Ordering::Relaxed);
                 if n.is_multiple_of(self.cfg.trace_sample_every) {
-                    registry.counter("coord_traces_sampled_total").inc(1);
+                    registry.counter(&names::COORD_TRACES_SAMPLED_TOTAL).inc(1);
                     Some(obs::TraceContext::root(true))
                 } else {
                     None
@@ -213,15 +213,20 @@ impl Handler for Shared {
             Err(bad_request) => (bad_request, true),
         };
         let elapsed = started.elapsed();
-        registry.histogram("coord_request_seconds").observe(elapsed);
+        registry
+            .histogram(&names::COORD_REQUEST_SECONDS)
+            .observe(elapsed);
         if is_query {
             if let Some(threshold) = self.cfg.slow_query {
                 if elapsed >= threshold {
-                    registry.counter("coord_slow_queries_total").inc(1);
+                    registry.counter(&names::COORD_SLOW_QUERIES_TOTAL).inc(1);
                     // Emitted inside the trace scope: the event's trace_id
                     // links it to the coord_request span and every shard's
                     // serve_request span in the same tree.
-                    obs::event!("coord_slow_query", elapsed_us = elapsed.as_micros() as u64);
+                    obs::event!(
+                        names::COORD_SLOW_QUERY,
+                        elapsed_us = elapsed.as_micros() as u64
+                    );
                 }
             }
         }
@@ -309,7 +314,7 @@ fn execute(
             true,
         ),
         Request::Shutdown => {
-            obs::event!("coord_drain_begin");
+            obs::event!(names::COORD_DRAIN_BEGIN);
             shared.stop.stop();
             (Response::ShutdownStarted, false)
         }
@@ -331,14 +336,14 @@ fn outcome_response(
             Response::Overloaded { queue_depth, stats }
         }
         Err(CoordError::BadQuery(m)) => {
-            registry.counter("coord_errors_total").inc(1);
+            registry.counter(&names::COORD_ERRORS_TOTAL).inc(1);
             Response::Error {
                 code: ErrorCode::BadRequest,
                 message: m,
             }
         }
         Err(e) => {
-            registry.counter("coord_errors_total").inc(1);
+            registry.counter(&names::COORD_ERRORS_TOTAL).inc(1);
             Response::Error {
                 code: ErrorCode::Internal,
                 message: e.to_string(),

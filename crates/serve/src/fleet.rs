@@ -15,7 +15,7 @@
 
 use crate::client::{Client, ClientError};
 use crate::coord::{ClusterShared, GroupSpec};
-use earthmover_obs as obs;
+use earthmover_obs::{self as obs, names};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::net::SocketAddr;
@@ -61,11 +61,11 @@ impl FleetTelemetry {
     /// previous scrape (stale beats blank for a dashboard); failures
     /// count into `fleet_scrape_errors_total` on the cluster registry.
     pub fn scrape(&self, cluster: &ClusterShared) {
-        let _span = obs::span!("fleet_scrape");
+        let _span = obs::span!(names::FLEET_SCRAPE);
         let registry = cluster.registry();
         let io_timeout = cluster.config().io_timeout;
         for (group, spec) in cluster.config().groups.iter().enumerate() {
-            registry.counter("fleet_scrapes_total").inc(1);
+            registry.counter(&names::FLEET_SCRAPES_TOTAL).inc(1);
             match scrape_group(spec, io_timeout) {
                 Ok((endpoint, prometheus)) => {
                     let mut slots = self.scrapes.lock().unwrap_or_else(|e| e.into_inner());
@@ -79,7 +79,7 @@ impl FleetTelemetry {
                     }
                 }
                 Err(_) => {
-                    registry.counter("fleet_scrape_errors_total").inc(1);
+                    registry.counter(&names::FLEET_SCRAPE_ERRORS_TOTAL).inc(1);
                 }
             }
         }
@@ -210,13 +210,13 @@ pub fn parse_fleet(merged: &str) -> Vec<FleetRow> {
     let mut rows: Vec<FleetRow> = Vec::new();
     for (shard, endpoint) in fleet_keys(merged) {
         let labels = format!("shard=\"{shard}\",endpoint=\"{endpoint}\"");
-        let requests = sample_value(merged, "serve_requests_total", &labels)
+        let requests = sample_value(merged, &names::SERVE_REQUESTS_TOTAL, &labels)
             .map(|v| v as u64)
             .unwrap_or(0);
-        let queue_depth = sample_value(merged, "serve_queue_depth", &labels);
-        let buckets = histogram_buckets(merged, "serve_knn_seconds", &labels);
-        let pool_hits = sample_value(merged, "pool_hit_total", &labels);
-        let pool_misses = sample_value(merged, "pool_miss_total", &labels);
+        let queue_depth = sample_value(merged, &names::SERVE_QUEUE_DEPTH, &labels);
+        let buckets = histogram_buckets(merged, &names::SERVE_KNN_SECONDS, &labels);
+        let pool_hits = sample_value(merged, &names::POOL_HIT_TOTAL, &labels);
+        let pool_misses = sample_value(merged, &names::POOL_MISS_TOTAL, &labels);
         let pool_hit_rate = match (pool_hits, pool_misses) {
             (Some(h), Some(m)) if h + m > 0.0 => Some(h / (h + m)),
             _ => None,
@@ -229,8 +229,8 @@ pub fn parse_fleet(merged: &str) -> Vec<FleetRow> {
             p99_ms: bucket_quantile(&buckets, 0.99).map(|s| s * 1000.0),
             queue_depth,
             pool_hit_rate,
-            pool_resident_blocks: sample_value(merged, "pool_resident_blocks", &labels),
-            filter_cache_entries: sample_value(merged, "filter_cache_entries", &labels),
+            pool_resident_blocks: sample_value(merged, &names::POOL_RESIDENT_BLOCKS, &labels),
+            filter_cache_entries: sample_value(merged, &names::FILTER_CACHE_ENTRIES, &labels),
         });
     }
     rows

@@ -15,7 +15,7 @@ use earthmover_core::deadline::Deadline;
 use earthmover_core::ground::BinGrid;
 use earthmover_core::pipeline::QueryEngine;
 use earthmover_core::{HistogramDb, RetrievalMode, SketchTier};
-use earthmover_obs::{self as obs, MetricsRegistry, Subscriber};
+use earthmover_obs::{self as obs, names, MetricsRegistry, Subscriber};
 use std::io;
 use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -178,15 +178,15 @@ impl Handler for Shared<'_> {
     type Worker = ();
     const NAMES: Names = Names {
         daemon: "emdd",
-        connection_span: "serve_connection",
-        shed_event: "serve_shed",
-        connections_total: "serve_connections_total",
-        shed_total: "serve_shed_total",
-        errors_total: "serve_errors_total",
-        requests_total: "serve_requests_total",
-        queue_depth: "serve_queue_depth",
-        queue_wait_seconds: "serve_queue_wait_seconds",
-        active_connections: "serve_active_connections",
+        connection_span: names::SERVE_CONNECTION,
+        shed_event: names::SERVE_SHED,
+        connections_total: names::SERVE_CONNECTIONS_TOTAL,
+        shed_total: names::SERVE_SHED_TOTAL,
+        errors_total: names::SERVE_ERRORS_TOTAL,
+        requests_total: names::SERVE_REQUESTS_TOTAL,
+        queue_depth: names::SERVE_QUEUE_DEPTH,
+        queue_wait_seconds: names::SERVE_QUEUE_WAIT_SECONDS,
+        active_connections: names::SERVE_ACTIVE_CONNECTIONS,
     };
 
     fn registry(&self) -> &MetricsRegistry {
@@ -202,11 +202,11 @@ impl Handler for Shared<'_> {
         request: Result<(Request, RequestExt), Response>,
     ) -> (Response, bool) {
         let endpoint = match &request {
-            Ok((Request::Knn { .. }, _)) => Some("serve_knn_seconds"),
-            Ok((Request::Range { .. }, _)) => Some("serve_range_seconds"),
-            Ok((Request::Health, _)) => Some("serve_health_seconds"),
-            Ok((Request::Stats, _)) => Some("serve_stats_seconds"),
-            Ok((Request::Shutdown, _)) => Some("serve_shutdown_seconds"),
+            Ok((Request::Knn { .. }, _)) => Some(names::SERVE_KNN_SECONDS),
+            Ok((Request::Range { .. }, _)) => Some(names::SERVE_RANGE_SECONDS),
+            Ok((Request::Health, _)) => Some(names::SERVE_HEALTH_SECONDS),
+            Ok((Request::Stats, _)) => Some(names::SERVE_STATS_SECONDS),
+            Ok((Request::Shutdown, _)) => Some(names::SERVE_SHUTDOWN_SECONDS),
             Err(_) => None,
         };
         // Adopt the caller's trace context (if the frame carried one) for
@@ -214,19 +214,19 @@ impl Handler for Shared<'_> {
         // under it link into the distributed trace.
         let trace = request.as_ref().ok().and_then(|(_, exts)| exts.trace);
         let _trace_scope = trace.map(|t| obs::set_trace(Some(t)));
-        let mut span = obs::span!("serve_request");
+        let mut span = obs::span!(names::SERVE_REQUEST);
         let (response, keep_going) = match request {
             Ok((req, exts)) => execute(self, req, exts.mode),
             Err(bad_request) => (bad_request, true),
         };
         if matches!(response, Response::DeadlineExceeded { .. }) {
             self.registry
-                .counter("serve_deadline_exceeded_total")
+                .counter(&names::SERVE_DEADLINE_EXCEEDED_TOTAL)
                 .inc(1);
         }
         let elapsed = started.elapsed();
         if let Some(endpoint) = endpoint {
-            self.registry.histogram(endpoint).observe(elapsed);
+            self.registry.histogram(&endpoint).observe(elapsed);
         }
         span.record("elapsed_us", elapsed.as_secs_f64() * 1e6);
         (response, keep_going)
@@ -250,7 +250,7 @@ fn execute(shared: &Shared<'_>, req: Request, mode: Option<RetrievalMode>) -> (R
             let result = match mode.or(shared.cfg.default_mode) {
                 Some(mode) => {
                     if matches!(mode, RetrievalMode::SketchOnly) {
-                        shared.registry.counter("sketch_queries_total").inc(1);
+                        shared.registry.counter(&names::SKETCH_QUERIES_TOTAL).inc(1);
                     }
                     shared
                         .engine
@@ -298,7 +298,7 @@ fn execute(shared: &Shared<'_>, req: Request, mode: Option<RetrievalMode>) -> (R
             )
         }
         Request::Shutdown => {
-            obs::event!("serve_drain_begin");
+            obs::event!(names::SERVE_DRAIN_BEGIN);
             shared.stop.stop();
             (Response::ShutdownStarted, false)
         }
@@ -311,28 +311,30 @@ fn execute(shared: &Shared<'_>, req: Request, mode: Option<RetrievalMode>) -> (R
 fn refresh_storage_gauges(shared: &Shared<'_>) {
     if let Some(pool) = shared.db.pool_stats() {
         let registry = &shared.registry;
-        registry.gauge("pool_hit_total").set(pool.hits as f64);
-        registry.gauge("pool_miss_total").set(pool.misses as f64);
+        registry.gauge(&names::POOL_HIT_TOTAL).set(pool.hits as f64);
         registry
-            .gauge("pool_evictions_total")
+            .gauge(&names::POOL_MISS_TOTAL)
+            .set(pool.misses as f64);
+        registry
+            .gauge(&names::POOL_EVICTIONS_TOTAL)
             .set(pool.evictions as f64);
         registry
-            .gauge("pool_bypass_total")
+            .gauge(&names::POOL_BYPASS_TOTAL)
             .set(pool.bypasses as f64);
         registry
-            .gauge("pool_resident_blocks")
+            .gauge(&names::POOL_RESIDENT_BLOCKS)
             .set(shared.db.resident_block_count() as f64);
     }
     let cache = shared.db.filter_cache().stats();
     let registry = &shared.registry;
     registry
-        .gauge("filter_cache_hit_total")
+        .gauge(&names::FILTER_CACHE_HIT_TOTAL)
         .set(cache.hits as f64);
     registry
-        .gauge("filter_cache_miss_total")
+        .gauge(&names::FILTER_CACHE_MISS_TOTAL)
         .set(cache.misses as f64);
     registry
-        .gauge("filter_cache_entries")
+        .gauge(&names::FILTER_CACHE_ENTRIES)
         .set(cache.entries as f64);
 }
 
@@ -369,7 +371,7 @@ fn query_response(result: earthmover_core::multistep::QueryResult) -> Response {
 }
 
 fn arity_error(shared: &Shared<'_>, got: usize) -> Response {
-    shared.registry.counter("serve_errors_total").inc(1);
+    shared.registry.counter(&names::SERVE_ERRORS_TOTAL).inc(1);
     Response::Error {
         code: ErrorCode::BadRequest,
         message: format!(
@@ -380,7 +382,7 @@ fn arity_error(shared: &Shared<'_>, got: usize) -> Response {
 }
 
 fn internal_error(shared: &Shared<'_>, message: &str) -> Response {
-    shared.registry.counter("serve_errors_total").inc(1);
+    shared.registry.counter(&names::SERVE_ERRORS_TOTAL).inc(1);
     Response::Error {
         code: ErrorCode::Internal,
         message: message.to_string(),

@@ -18,7 +18,7 @@ use crate::client::{Client, ClientError, Outcome};
 use crate::retry::RetryPolicy;
 use earthmover_core::deadline::Deadline;
 use earthmover_core::Histogram;
-use earthmover_obs::{self as obs, MetricsRegistry};
+use earthmover_obs::{self as obs, names, MetricsRegistry};
 use std::net::SocketAddr;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -170,13 +170,13 @@ impl ShardEndpoint {
             match self.breaker.try_acquire() {
                 Admission::Rejected => {
                     self.registry
-                        .counter("shard_breaker_rejections_total")
+                        .counter(&names::SHARD_BREAKER_REJECTIONS_TOTAL)
                         .inc(1);
                     return Err(CallFailure::BreakerOpen);
                 }
                 Admission::Allowed | Admission::Probe => {}
             }
-            self.registry.counter("shard_calls_total").inc(1);
+            self.registry.counter(&names::SHARD_CALLS_TOTAL).inc(1);
             let started = Instant::now();
             match self.attempt(query, deadline) {
                 Ok(Outcome::Overloaded { .. }) => {
@@ -204,13 +204,15 @@ impl ShardEndpoint {
                     last_failure = err.to_string();
                     self.client = None;
                     if self.breaker.record_failure() {
-                        self.registry.counter("shard_breaker_open_total").inc(1);
+                        self.registry
+                            .counter(&names::SHARD_BREAKER_OPEN_TOTAL)
+                            .inc(1);
                     }
                 }
             }
             if attempt < self.retry.max_retries {
-                self.registry.counter("shard_retries_total").inc(1);
-                obs::event!("shard_retry");
+                self.registry.counter(&names::SHARD_RETRIES_TOTAL).inc(1);
+                obs::event!(names::SHARD_RETRY);
                 let mut sleep = self.retry.backoff(attempt, salt);
                 if let Some(rem) = deadline.remaining() {
                     sleep = sleep.min(rem);
@@ -379,8 +381,8 @@ impl ShardGroup {
                         hedge_fired: false,
                     },
                     Err(primary_err) => {
-                        self.registry.counter("shard_failovers_total").inc(1);
-                        obs::event!("shard_failover");
+                        self.registry.counter(&names::SHARD_FAILOVERS_TOTAL).inc(1);
+                        obs::event!(names::SHARD_FAILOVER);
                         match replica.call(query, deadline, salt ^ 1) {
                             Ok((outcome, latency, retries)) => GroupReply::Answered {
                                 outcome: Box::new(outcome),
@@ -485,8 +487,8 @@ fn hedged_call(
                     if let Some(replica) = replica_slot.take() {
                         // Primary failed before the hedge timer: classic
                         // failover.
-                        registry.counter("shard_failovers_total").inc(1);
-                        obs::event!("shard_failover");
+                        registry.counter(&names::SHARD_FAILOVERS_TOTAL).inc(1);
+                        obs::event!(names::SHARD_FAILOVER);
                         if let Some(tx) = tx_replica.take() {
                             outstanding += 1;
                             let leg_telemetry = telemetry.clone();
@@ -505,8 +507,8 @@ fn hedged_call(
                 Err(None) => {
                     // Hedge timer fired with the primary still silent.
                     if let Some(replica) = replica_slot.take() {
-                        registry.counter("shard_hedges_total").inc(1);
-                        obs::event!("shard_hedge");
+                        registry.counter(&names::SHARD_HEDGES_TOTAL).inc(1);
+                        obs::event!(names::SHARD_HEDGE);
                         hedge_fired = true;
                         if let Some(tx) = tx_replica.take() {
                             outstanding += 1;
@@ -578,8 +580,8 @@ mod tests {
         let registry = Arc::clone(&ep.registry);
         let got = ep.call(&knn_query(), Deadline::none(), 0);
         assert!(matches!(got, Err(CallFailure::Exhausted(_))), "{got:?}");
-        assert_eq!(registry.counter("shard_retries_total").get(), 2);
-        assert_eq!(registry.counter("shard_calls_total").get(), 3);
+        assert_eq!(registry.counter(&names::SHARD_RETRIES_TOTAL).get(), 2);
+        assert_eq!(registry.counter(&names::SHARD_CALLS_TOTAL).get(), 3);
     }
 
     #[test]
@@ -603,14 +605,22 @@ mod tests {
         ));
         // The first failure tripped the breaker; the second call is
         // rejected without any connect attempt.
-        let calls_before = registry.counter("shard_calls_total").get();
+        let calls_before = registry.counter(&names::SHARD_CALLS_TOTAL).get();
         assert!(matches!(
             ep.call(&knn_query(), Deadline::none(), 0),
             Err(CallFailure::BreakerOpen)
         ));
-        assert_eq!(registry.counter("shard_calls_total").get(), calls_before);
-        assert_eq!(registry.counter("shard_breaker_rejections_total").get(), 1);
-        assert_eq!(registry.counter("shard_breaker_open_total").get(), 1);
+        assert_eq!(
+            registry.counter(&names::SHARD_CALLS_TOTAL).get(),
+            calls_before
+        );
+        assert_eq!(
+            registry
+                .counter(&names::SHARD_BREAKER_REJECTIONS_TOTAL)
+                .get(),
+            1
+        );
+        assert_eq!(registry.counter(&names::SHARD_BREAKER_OPEN_TOTAL).get(), 1);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use earthmover_core::ground::BinGrid;
 use earthmover_core::pipeline::QueryEngine;
 use earthmover_core::HistogramDb;
 use earthmover_imaging::corpus::{CorpusConfig, SyntheticCorpus};
+use earthmover_obs::names;
 use earthmover_serve::{
     shard_of, ClusterConfig, ClusterShared, Coordinator, GroupSpec, Outcome, RetryPolicy, Server,
     ServerConfig, SHARD_UNAVAILABLE_NOTE,
@@ -181,7 +182,7 @@ fn dead_group_downgrades_to_typed_partial_with_note() {
         assert_eq!(
             shared
                 .registry()
-                .counter("coord_shard_unavailable_total")
+                .counter(&names::COORD_SHARD_UNAVAILABLE_TOTAL)
                 .get(),
             1
         );
@@ -211,7 +212,11 @@ fn replica_failover_keeps_answers_complete() {
         let want: Vec<u64> = local.items.iter().map(|(id, _)| *id as u64).collect();
         assert_eq!(got, want, "failover answer must still match single-node");
         assert!(
-            shared.registry().counter("shard_failovers_total").get() > 0,
+            shared
+                .registry()
+                .counter(&names::SHARD_FAILOVERS_TOTAL)
+                .get()
+                > 0,
             "the failover must be counted"
         );
     });

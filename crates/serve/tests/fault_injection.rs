@@ -7,6 +7,7 @@
 use earthmover_core::ground::BinGrid;
 use earthmover_core::HistogramDb;
 use earthmover_imaging::corpus::{CorpusConfig, SyntheticCorpus};
+use earthmover_obs::names;
 use earthmover_serve::{
     BreakerConfig, Client, ClusterConfig, ClusterShared, Coordinator, FaultClass, FaultProxy,
     FaultProxyConfig, FaultSchedule, GroupSpec, Outcome, RetryPolicy, Server, ServerConfig,
@@ -171,7 +172,7 @@ fn transient_fault_recovers_via_retry() {
         };
         assert_eq!(items.first().map(|(id, _)| *id), Some(2));
         assert!(
-            shared.registry().counter("shard_retries_total").get() > 0,
+            shared.registry().counter(&names::SHARD_RETRIES_TOTAL).get() > 0,
             "recovery must have gone through the retry path"
         );
         assert!(proxy.injected(FaultClass::Refuse) > 0);
@@ -190,14 +191,17 @@ fn repeated_failures_open_the_breaker_and_reject_fast() {
             let outcome = coordinator.knn(&q, 5, 0).expect("typed partial");
             assert!(matches!(outcome, Outcome::Partial { .. }));
             assert_eq!(
-                shared.registry().counter("shard_breaker_open_total").get(),
+                shared
+                    .registry()
+                    .counter(&names::SHARD_BREAKER_OPEN_TOTAL)
+                    .get(),
                 1,
                 "the third consecutive failure must open the breaker"
             );
             assert!(
                 shared
                     .registry()
-                    .counter("shard_breaker_rejections_total")
+                    .counter(&names::SHARD_BREAKER_REJECTIONS_TOTAL)
                     .get()
                     > 0
             );

@@ -10,6 +10,7 @@ use earthmover_core::ground::BinGrid;
 use earthmover_core::pipeline::QueryEngine;
 use earthmover_core::{HistogramDb, RetrievalMode, SketchTier};
 use earthmover_imaging::corpus::{CorpusConfig, SyntheticCorpus};
+use earthmover_obs::names;
 use earthmover_serve::protocol::OVERLOAD_NOTE;
 use earthmover_serve::{
     Client, ClusterConfig, ClusterShared, CoordServer, CoordServerConfig, GroupSpec, Outcome,
@@ -157,10 +158,10 @@ fn daemon_knn_matches_local_engine_and_serves_keepalive() {
 
         let prom = client.stats().unwrap();
         assert!(
-            prom.contains("serve_requests_total"),
+            prom.contains(names::SERVE_REQUESTS_TOTAL.as_str()),
             "stats response must carry the serve metrics:\n{prom}"
         );
-        assert!(prom.contains("serve_knn_seconds"));
+        assert!(prom.contains(names::SERVE_KNN_SECONDS.as_str()));
 
         // Drain via the wire protocol.
         client.shutdown().unwrap();

@@ -9,7 +9,7 @@
 use earthmover_core::ground::BinGrid;
 use earthmover_core::HistogramDb;
 use earthmover_imaging::corpus::{CorpusConfig, SyntheticCorpus};
-use earthmover_obs as obs;
+use earthmover_obs::{self as obs, names};
 use earthmover_serve::coord_server::{CoordServer, CoordServerConfig};
 use earthmover_serve::{
     parse_fleet, shard_of, Client, ClusterConfig, ClusterShared, Coordinator, GroupSpec, Outcome,
@@ -156,7 +156,7 @@ fn one_knn_query_produces_one_linked_trace_across_the_cluster() {
             records
                 .iter()
                 .filter(|r| {
-                    r.name == "serve_request"
+                    r.name == names::SERVE_REQUEST.as_str()
                         && r.trace.as_ref().is_some_and(|t| t.trace_id == trace_id)
                 })
                 .count()
@@ -171,7 +171,7 @@ fn one_knn_query_produces_one_linked_trace_across_the_cluster() {
                 .collect()
         };
 
-        let coord_spans = in_trace("coord_request");
+        let coord_spans = in_trace(&names::COORD_REQUEST);
         assert_eq!(coord_spans.len(), 1, "exactly one coordinator root span");
         let coord_ids = coord_spans[0].trace.as_ref().expect("trace ids");
         assert_eq!(
@@ -179,7 +179,7 @@ fn one_knn_query_produces_one_linked_trace_across_the_cluster() {
             "the client-rooted context has no parent span"
         );
 
-        let shard_calls = in_trace("shard_call");
+        let shard_calls = in_trace(&names::SHARD_CALL);
         assert_eq!(
             shard_calls.len(),
             SHARDS,
@@ -197,8 +197,10 @@ fn one_knn_query_produces_one_linked_trace_across_the_cluster() {
         groups_seen.sort_unstable();
         assert_eq!(groups_seen, vec![0, 1, 2]);
 
-        let serves: Vec<&obs::SpanRecord> =
-            in_trace("serve_request").into_iter().take(SHARDS).collect();
+        let serves: Vec<&obs::SpanRecord> = in_trace(&names::SERVE_REQUEST)
+            .into_iter()
+            .take(SHARDS)
+            .collect();
         assert_eq!(serves.len(), SHARDS, "every shard daemon joined the trace");
         let call_span_ids: Vec<u64> = shard_calls
             .iter()
@@ -230,12 +232,17 @@ fn untraced_queries_leave_shard_spans_unlinked() {
         let q = db.get(2).to_histogram();
         coordinator.knn(&q, 5, 0).expect("knn");
         let records = wait_for_records(&recorder, Duration::from_secs(5), |records| {
-            records.iter().filter(|r| r.name == "serve_request").count() >= SHARDS
+            records
+                .iter()
+                .filter(|r| r.name == names::SERVE_REQUEST.as_str())
+                .count()
+                >= SHARDS
         });
         assert!(
             records
                 .iter()
-                .filter(|r| r.name == "serve_request" || r.name == "coord_request")
+                .filter(|r| r.name == names::SERVE_REQUEST.as_str()
+                    || r.name == names::COORD_REQUEST.as_str())
                 .all(|r| r.trace.is_none()),
             "spans must carry no trace ids when no context was set"
         );
@@ -279,19 +286,21 @@ fn coord_server_samples_slow_queries_and_serves_the_fleet_view() {
                 // The head sampler rooted a trace and the zero slow-query
                 // threshold logged it.
                 let registry = shared.registry();
-                assert!(registry.counter("coord_traces_sampled_total").get() >= 1);
-                assert!(registry.counter("coord_slow_queries_total").get() >= 1);
+                assert!(registry.counter(&names::COORD_TRACES_SAMPLED_TOTAL).get() >= 1);
+                assert!(registry.counter(&names::COORD_SLOW_QUERIES_TOTAL).get() >= 1);
                 let records = wait_for_records(&recorder, Duration::from_secs(5), |records| {
-                    records.iter().any(|r| r.name == "coord_slow_query")
+                    records
+                        .iter()
+                        .any(|r| r.name == names::COORD_SLOW_QUERY.as_str())
                 });
                 let slow = records
                     .iter()
-                    .find(|r| r.name == "coord_slow_query")
+                    .find(|r| r.name == names::COORD_SLOW_QUERY.as_str())
                     .expect("slow-query event recorded");
                 let slow_trace = slow.trace.as_ref().expect("slow-query event is traced");
                 assert!(
                     records.iter().any(|r| {
-                        r.name == "serve_request"
+                        r.name == names::SERVE_REQUEST.as_str()
                             && r.trace
                                 .as_ref()
                                 .is_some_and(|t| t.trace_id == slow_trace.trace_id)
@@ -301,12 +310,14 @@ fn coord_server_samples_slow_queries_and_serves_the_fleet_view() {
                 );
 
                 // The fleet scraper (first pull is immediate) labels every
-                // shard's series in the coordinator's stats response.
+                // shard's series in the coordinator's stats response; a
+                // scrape after the query carries its latency.
                 let deadline = Instant::now() + Duration::from_secs(5);
                 let rows = loop {
                     let merged = client.stats().expect("stats through coord server");
                     let rows = parse_fleet(&merged);
-                    if rows.len() >= SHARDS || Instant::now() > deadline {
+                    let complete = rows.len() >= SHARDS && rows.iter().all(|r| r.p50_ms.is_some());
+                    if complete || Instant::now() > deadline {
                         assert!(
                             merged.contains("shard=\"0\""),
                             "fleet export must label per-shard series: {merged}"
@@ -320,6 +331,11 @@ fn coord_server_samples_slow_queries_and_serves_the_fleet_view() {
                     assert_eq!(row.shard, i as u32);
                     assert_eq!(row.endpoint, shard_addrs[i]);
                     assert!(row.requests > 0, "shards served discovery + the query");
+                    // The view reads the series the shard daemons write.
+                    assert!(row.p50_ms.is_some(), "shard {i}: knn latency");
+                    assert!(row.queue_depth.is_some(), "shard {i}: queue depth");
+                    assert!(row.filter_cache_entries.is_some(), "shard {i}: cache");
+                    assert!(row.pool_hit_rate.is_none(), "shard {i} is resident");
                 }
             }));
             server.stop_handle().stop();

@@ -38,7 +38,7 @@
 
 use crate::pagefile::{PageFile, PageId, StorageError, PAGE_SIZE};
 use crate::vfs::{StdVfs, Vfs};
-use earthmover_obs as obs;
+use earthmover_obs::{self as obs, names};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::Path;
@@ -457,7 +457,7 @@ impl BlockPool {
             }
         }
         inner.stats.misses += 1;
-        let mut span = obs::span!("store_block_load", block = block);
+        let mut span = obs::span!(names::STORE_BLOCK_LOAD, block = block);
         let data = Arc::new(inner.store.read_block(block)?);
         span.record("rows", (data.len() / inner.store.meta().dims.max(1)) as f64);
         drop(span);

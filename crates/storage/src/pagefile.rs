@@ -29,7 +29,7 @@
 //! leaked file space, never dangling references.
 
 use crate::vfs::{StdVfs, Vfs, VfsFile};
-use earthmover_obs as obs;
+use earthmover_obs::{self as obs, names};
 use std::fmt;
 use std::path::Path;
 
@@ -199,7 +199,7 @@ impl PageFile {
         vfs: &dyn Vfs,
         path: &Path,
     ) -> Result<(Self, RecoveryReport), StorageError> {
-        let mut span = obs::span!("storage_recovery_scan");
+        let mut span = obs::span!(names::STORAGE_RECOVERY_SCAN);
         let mut pf = Self::open_with(vfs, path)?;
         let mut report = RecoveryReport {
             version: VERSION,
@@ -212,7 +212,7 @@ impl PageFile {
             match pf.read_page(id, &mut buf) {
                 Ok(()) => {}
                 Err(StorageError::PageChecksum(_)) | Err(StorageError::Io(_)) => {
-                    obs::event!("storage_crc_recovery", page = id.0);
+                    obs::event!(names::STORAGE_CRC_RECOVERY, page = id.0);
                     report.corrupt_pages.push(id);
                 }
                 Err(e) => return Err(e),
@@ -251,7 +251,7 @@ impl PageFile {
         id: PageId,
         content: &[u8; PAGE_SIZE],
     ) -> Result<(), StorageError> {
-        obs::event!("storage_page_write", page = id.0);
+        obs::event!(names::STORAGE_PAGE_WRITE, page = id.0);
         let mut phys = [0u8; PHYS_PAGE];
         phys[..PAGE_SIZE].copy_from_slice(content);
         let crc = Self::page_crc(id, content);
@@ -263,7 +263,7 @@ impl PageFile {
     /// Reads the physical slot of `id` into `buf`, verifying the
     /// trailer checksum.
     fn read_page_raw(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
-        obs::event!("storage_page_read", page = id.0);
+        obs::event!(names::STORAGE_PAGE_READ, page = id.0);
         let mut phys = [0u8; PHYS_PAGE];
         self.file.read_exact_at(&mut phys, self.page_offset(id))?;
         buf.copy_from_slice(&phys[..PAGE_SIZE]);

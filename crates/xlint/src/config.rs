@@ -224,9 +224,9 @@ mod tests {
 enabled = true
 [lock_discipline]
 strict = false
-[obs_naming]
-registry = "crates/obs/src/names.rs"
-scan = ["crates", "src"] # trailing comment
+[admissibility_coverage]
+matrix_test = "crates/core/tests/bound_matrix.rs"
+exempt = ["QuadraticForm", "Other"] # trailing comment
 [baseline.slice_indexing]
 "crates/core/src/histogram.rs" = 3
 "#,
@@ -235,10 +235,13 @@ scan = ["crates", "src"] # trailing comment
         assert_eq!(cfg.get("enabled"), Some(&Value::Bool(true)));
         assert_eq!(cfg.get("lock_discipline.strict"), Some(&Value::Bool(false)));
         assert_eq!(
-            cfg.str("obs_naming.registry"),
-            Some("crates/obs/src/names.rs")
+            cfg.str("admissibility_coverage.matrix_test"),
+            Some("crates/core/tests/bound_matrix.rs")
         );
-        assert_eq!(cfg.list("obs_naming.scan"), vec!["crates", "src"]);
+        assert_eq!(
+            cfg.list("admissibility_coverage.exempt"),
+            vec!["QuadraticForm", "Other"]
+        );
         let table = cfg.int_table("baseline.slice_indexing");
         assert_eq!(table.get("crates/core/src/histogram.rs"), Some(&3));
     }

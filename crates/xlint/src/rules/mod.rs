@@ -4,23 +4,20 @@
 //! Rule catalogue (see DESIGN.md §10). A rule runs when `xlint.toml`
 //! gives its section a `paths` list. The rest of the panic rule and the
 //! float rule are held by rustc/clippy (crate-root `deny` attributes and
-//! `clippy.toml`), not here.
+//! `clippy.toml`), and instrumentation names by the type checker
+//! (`obs::names` constants), not here.
 //!
 //! | id | category | what it enforces |
 //! |---|---|---|
 //! | `slice_indexing` | panic-freedom | no *new* `expr[...]` indexing (ratcheted per-file baseline) |
 //! | `admissibility_coverage` | admissibility | every `DistanceMeasure` impl appears in the bound-matrix property test |
-//! | `obs_naming` | observability | every `span!`/`event!`/metric name literal is declared in the obs name registry |
-//! | `lock_discipline` | concurrency | `Mutex`/`RwLock` fields are registered, acquired in registry order, and guards are not held across blocking calls |
+//! //! | `lock_discipline` | concurrency | `Mutex`/`RwLock` fields are registered, acquired in registry order, and guards are not held across blocking calls |
 //! | `deadline_propagation` | concurrency | network-touching public fns in the serving layer carry a `Deadline` or are registered as audited exemptions |
-//! | `degradation_registry` | degradation | degradation-note literals are declared in the `core::notes` registry |
-//! | `suppression` | hygiene | `xlint:allow` needs a reason and must actually suppress something |
+//! //! | `suppression` | hygiene | `xlint:allow` needs a reason and must actually suppress something |
 
 pub mod admissibility;
 pub mod deadline_propagation;
-pub mod degradation_registry;
 pub mod lock_discipline;
-pub mod obs_naming;
 pub mod slice_indexing;
 
 use crate::config::Config;
@@ -35,10 +32,8 @@ type Rule = fn(&Workspace, &Config, &mut Emitter);
 const RULES: &[(&str, Rule)] = &[
     ("slice_indexing", slice_indexing::run),
     ("admissibility_coverage", admissibility::run),
-    ("obs_naming", obs_naming::run),
     ("lock_discipline", lock_discipline::run),
     ("deadline_propagation", deadline_propagation::run),
-    ("degradation_registry", degradation_registry::run),
 ];
 
 /// Shared mutable state while rules run: the report plus per-file
@@ -178,33 +173,4 @@ pub fn is_ident(kind: &TokenKind, s: &str) -> bool {
 /// Convenience: is this token the punctuation `p`?
 pub fn is_punct(kind: &TokenKind, p: &str) -> bool {
     matches!(kind, TokenKind::Punct(q) if *q == p)
-}
-
-/// The string literals of `pub const <NAME>: &[&str] = &[..];` in a
-/// registry file, with each literal's source position. Shared by the
-/// registry-backed rules (`obs_naming`, `degradation_registry`).
-pub fn const_string_entries(
-    file: &crate::SourceFile,
-    const_name: &str,
-) -> Vec<(String, usize, usize)> {
-    let toks = &file.lexed.tokens;
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if is_ident(&toks[i].kind, const_name) {
-            let mut j = i + 1;
-            while let Some(t) = toks.get(j) {
-                match &t.kind {
-                    TokenKind::StrLit(s) => {
-                        out.push((s.clone(), t.line, t.col));
-                        j += 1;
-                    }
-                    TokenKind::Punct(";") => return out,
-                    _ => j += 1,
-                }
-            }
-        }
-        i += 1;
-    }
-    out
 }

@@ -186,57 +186,6 @@ fn admissibility_requires_the_matrix_test_to_exist() {
 }
 
 // ------------------------------------------------------------------
-// obs_naming
-
-const NAMES_REGISTRY: &str = r#"
-pub const SPAN_NAMES: &[&str] = &["engine_knn"];
-pub const METRIC_NAMES: &[&str] = &["node_accesses_total"];
-"#;
-
-fn obs_cfg() -> String {
-    only("obs_naming", "registry = \"crates/demo/src/names.rs\"\n")
-}
-
-#[test]
-fn obs_naming_flags_undeclared_literals() {
-    let src = r#"
-pub fn f(m: &dyn Meter) {
-    span!("engine_knn");
-    span!("mystery_span");
-    m.counter("node_accesses_total");
-    m.counter("mystery_total");
-}
-"#;
-    let r = run(
-        &obs_cfg(),
-        &[
-            ("crates/demo/src/lib.rs", src),
-            ("crates/demo/src/names.rs", NAMES_REGISTRY),
-        ],
-    );
-    assert_eq!(rules_of(&r), vec!["obs_naming"; 2], "{}", r.to_human());
-    assert!(r.to_json().contains("mystery_span"));
-}
-
-#[test]
-fn obs_naming_accepts_registered_and_dynamic_names() {
-    let src = r#"
-pub fn f(m: &dyn Meter, stage: &str) {
-    span!("engine_knn");
-    m.counter(&format!("stage_{stage}_seconds"));
-}
-"#;
-    let r = run(
-        &obs_cfg(),
-        &[
-            ("crates/demo/src/lib.rs", src),
-            ("crates/demo/src/names.rs", NAMES_REGISTRY),
-        ],
-    );
-    assert!(r.is_clean(), "{}", r.to_human());
-}
-
-// ------------------------------------------------------------------
 // lock_discipline
 
 const LOCK_CFG: &str = r#"order = ["Outer.inner", "Inner.state"]
@@ -531,136 +480,6 @@ fn deadline_propagation_suppression_silences_one_site() {
         &only("deadline_propagation", DEADLINE_CFG),
         &[("crates/demo/src/lib.rs", &src)],
     );
-    assert!(r.is_clean(), "{}", r.to_human());
-}
-
-// ------------------------------------------------------------------
-// degradation_registry
-
-const NOTES_CFG: &str = "registry = \"crates/demo/src/notes.rs\"\n";
-
-const NOTES_REGISTRY: &str = r#"
-pub const NOTE_LITERALS: &[&str] = &["deadline expired"];
-pub const NOTE_PREFIXES: &[&str] = &["shard "];
-"#;
-
-const NOTES_SRC: &str = r#"
-pub const DEAD_NOTE: &str = "deadline expired";
-
-pub fn fold(stats: &mut Stats, shard: u32) {
-    stats.record_degradation_once(DEAD_NOTE);
-    stats.degradations.push(format!("shard {shard} unavailable"));
-}
-"#;
-
-fn notes_run(registry: &str, src: &str) -> Report {
-    run(
-        &only("degradation_registry", NOTES_CFG),
-        &[
-            ("crates/demo/src/notes.rs", registry),
-            ("crates/demo/src/lib.rs", src),
-        ],
-    )
-}
-
-#[test]
-fn degradation_registry_accepts_registered_notes() {
-    let r = notes_run(NOTES_REGISTRY, NOTES_SRC);
-    assert!(r.is_clean(), "{}", r.to_human());
-}
-
-#[test]
-fn degradation_registry_flags_unregistered_literal_at_site() {
-    let src = NOTES_SRC.replace(
-        "    stats.record_degradation_once(DEAD_NOTE);",
-        "    stats.record_degradation_once(DEAD_NOTE);\n    \
-         stats.degradations.push(\"made this up\");",
-    );
-    let r = notes_run(NOTES_REGISTRY, &src);
-    assert_eq!(
-        rules_of(&r),
-        vec!["degradation_registry"],
-        "{}",
-        r.to_human()
-    );
-    assert!(
-        r.diagnostics[0].message.contains("made this up"),
-        "{}",
-        r.to_human()
-    );
-}
-
-#[test]
-fn degradation_registry_flags_format_head_without_prefix() {
-    let src = NOTES_SRC.replace(
-        "format!(\"shard {shard} unavailable\")",
-        "format!(\"shard {shard} unavailable\"));\n    \
-         stats.degradations.push(format!(\"tier {shard} collapsed\")",
-    );
-    let r = notes_run(NOTES_REGISTRY, &src);
-    assert_eq!(
-        rules_of(&r),
-        vec!["degradation_registry"],
-        "{}",
-        r.to_human()
-    );
-    assert!(
-        r.diagnostics[0].message.contains("NOTE_PREFIXES"),
-        "{}",
-        r.to_human()
-    );
-}
-
-#[test]
-fn degradation_registry_flags_unregistered_note_constant() {
-    let src = NOTES_SRC.replace(
-        "pub const DEAD_NOTE",
-        "pub const BAD_NOTE: &str = \"unheard of\";\npub const DEAD_NOTE",
-    );
-    let r = notes_run(NOTES_REGISTRY, &src);
-    assert_eq!(
-        rules_of(&r),
-        vec!["degradation_registry"],
-        "{}",
-        r.to_human()
-    );
-    assert!(
-        r.diagnostics[0].message.contains("BAD_NOTE"),
-        "{}",
-        r.to_human()
-    );
-}
-
-#[test]
-fn degradation_registry_flags_stale_registry_entry() {
-    let registry = NOTES_REGISTRY.replace(
-        "&[\"deadline expired\"]",
-        "&[\"deadline expired\", \"never recorded\"]",
-    );
-    let r = notes_run(&registry, NOTES_SRC);
-    assert_eq!(
-        rules_of(&r),
-        vec!["degradation_registry"],
-        "{}",
-        r.to_human()
-    );
-    assert!(
-        r.diagnostics[0].message.contains("never recorded"),
-        "{}",
-        r.to_human()
-    );
-    assert_eq!(r.diagnostics[0].path, "crates/demo/src/notes.rs");
-}
-
-#[test]
-fn degradation_registry_suppression_silences_one_site() {
-    let src = NOTES_SRC.replace(
-        "    stats.record_degradation_once(DEAD_NOTE);",
-        "    stats.record_degradation_once(DEAD_NOTE);\n    \
-         // xlint:allow(degradation_registry): legacy note kept for log continuity\n    \
-         stats.degradations.push(\"made this up\");",
-    );
-    let r = notes_run(NOTES_REGISTRY, &src);
     assert!(r.is_clean(), "{}", r.to_human());
 }
 

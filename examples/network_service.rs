@@ -7,6 +7,7 @@
 //! ```
 
 use earthmover::imaging::corpus::{CorpusConfig, SyntheticCorpus};
+use earthmover::obs::names;
 use earthmover::serve::{Client, Outcome, Server, ServerConfig};
 use earthmover::BinGrid;
 use std::time::Duration;
@@ -68,7 +69,7 @@ fn main() {
         let prom = client.stats().expect("stats");
         let serve_lines = prom
             .lines()
-            .filter(|l| l.starts_with("serve_requests_total"))
+            .filter(|l| l.starts_with(names::SERVE_REQUESTS_TOTAL.as_str()))
             .collect::<Vec<_>>()
             .join("\n");
         println!("{serve_lines}");

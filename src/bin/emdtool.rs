@@ -34,7 +34,7 @@
 
 use earthmover::core::storage;
 use earthmover::imaging::corpus::{CorpusConfig, SyntheticCorpus};
-use earthmover::obs;
+use earthmover::obs::{self, names};
 use earthmover::serve as serve_api;
 use earthmover::{linear_scan_knn, BinGrid, ExactEmd, FirstStage, HistogramDb, QueryEngine};
 use serve_api::daemon::Flags;
@@ -226,7 +226,7 @@ fn write_metrics(
     }
     if recorder.dropped() > 0 {
         registry
-            .counter("trace_records_dropped_total")
+            .counter(&names::TRACE_RECORDS_DROPPED_TOTAL)
             .inc(recorder.dropped());
     }
     for (name, elapsed) in &stats.stage_elapsed {
@@ -235,7 +235,7 @@ fn write_metrics(
             .observe(*elapsed);
     }
     registry
-        .counter("exact_evaluations_total")
+        .counter(&names::EXACT_EVALUATIONS_TOTAL)
         .inc(stats.exact_evaluations);
     for (name, evals) in &stats.filter_evaluations {
         registry
@@ -243,15 +243,15 @@ fn write_metrics(
             .inc(*evals);
     }
     registry
-        .counter("node_accesses_total")
+        .counter(&names::NODE_ACCESSES_TOTAL)
         .inc(stats.node_accesses);
     registry
-        .counter("degradations_total")
+        .counter(&names::DEGRADATIONS_TOTAL)
         .inc(stats.degradations.len() as u64);
-    registry.gauge("db_size").set(stats.db_size as f64);
-    registry.gauge("selectivity").set(stats.selectivity());
+    registry.gauge(&names::DB_SIZE).set(stats.db_size as f64);
+    registry.gauge(&names::SELECTIVITY).set(stats.selectivity());
     registry
-        .gauge("query_seconds")
+        .gauge(&names::QUERY_SECONDS)
         .set(stats.elapsed.as_secs_f64());
     let prom_path = format!("{base}.prom");
     let json_path = format!("{base}.json");
