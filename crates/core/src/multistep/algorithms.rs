@@ -8,7 +8,7 @@ use crate::histogram::Histogram;
 use crate::lower_bounds::{DistanceKernel, DistanceMeasure};
 use crate::stats::{stage, QueryStats};
 use earthmover_obs::{self as obs, names};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
@@ -283,15 +283,64 @@ pub fn gemini_knn_within(
     Ok(QueryResult { items, stats })
 }
 
-/// Optimal multistep k-NN (Seidl & Kriegel, SIGMOD 1998).
+/// Most candidates the optimal k-NN loop holds pulled from the ranking but
+/// not yet refined. Each waiting candidate owns a copy of its row, so this
+/// bounds the per-query copies whatever `k` is (`k` arrives off the wire).
+const LOOKAHEAD: usize = 40;
+
+/// A candidate pulled from the ranking and screened by the intermediate
+/// filters, waiting to be refined. Ordered by its tightest lower bound,
+/// then by pull order, so a min-heap refines the smallest bound first.
+#[derive(Debug)]
+struct Pending {
+    bound: f64,
+    seq: usize,
+    id: usize,
+    /// A copy of the row's bins: no row lease outlives the pull, so a
+    /// paged pool of one or two frames still answers.
+    row: Vec<f64>,
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Pending {}
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.bound
+            .total_cmp(&other.bound)
+            .then(self.seq.cmp(&other.seq))
+    }
+}
+
+/// Optimal multistep k-NN (Seidl & Kriegel, SIGMOD 1998), refined in
+/// lower-bound order.
 ///
 /// Candidates arrive from the source in nondecreasing filter-distance
-/// order. Each is screened against the intermediate filters, refined
-/// exactly, and the pruning radius `ε'` (the current k-th best exact
-/// distance) *shrinks as refinements happen*. The loop stops as soon as
-/// the next filter distance exceeds `ε'` — provably the minimum number of
-/// exact-distance computations any complete multistep algorithm can do
-/// with this filter.
+/// order. Each pulled candidate is screened by the intermediate filters
+/// and then waits, at most `LOOKAHEAD` (40) at a time, keyed by its
+/// tightest lower bound: the largest of its filter distance and its
+/// intermediate values. The loop refines the smallest waiting bound first
+/// and pulls from the ranking only while the next filter distance could
+/// come before it. The pruning radius `ε'` (the current k-th best exact
+/// distance) *shrinks as refinements happen*: a waiting candidate whose
+/// bound exceeds it is dropped unrefined, and the stream stops as soon as
+/// the next filter distance exceeds it.
+///
+/// Without intermediates the refinement order is the ranking's, and the
+/// loop does provably the minimum number of exact-distance computations
+/// any complete multistep algorithm can do with this filter. With an
+/// intermediate as tight as LB_IM, refining by the tighter bound first
+/// brings `ε'` near the true k-th distance while few solves have
+/// happened, so fewer candidates survive to be refined. The answer does
+/// not depend on the order: it is the top k under `(distance, id)`.
 pub fn optimal_knn(
     source: &dyn CandidateSource,
     db: &HistogramDb,
@@ -304,12 +353,11 @@ pub fn optimal_knn(
 }
 
 /// [`optimal_knn`] under a wall-clock budget. An expired deadline stops
-/// the ranking/refinement loop; the current k-best heap is returned as a
-/// best-effort partial answer with [`QueryStats::deadline_expired`] set.
-/// Because candidates arrive in nondecreasing filter-distance order, the
-/// partial answer is exactly what the algorithm would report if the
-/// database ended at the cut — the natural anytime behavior of the
-/// optimal multistep algorithm.
+/// the loop between two steps (never mid-refinement). The best k of the
+/// candidates refined so far are returned as a best-effort partial answer
+/// with [`QueryStats::deadline_expired`] set. Reported distances are
+/// exact, but a candidate still waiting or not yet pulled could have
+/// displaced a reported one.
 pub fn optimal_knn_within(
     source: &dyn CandidateSource,
     db: &HistogramDb,
@@ -326,15 +374,15 @@ pub fn optimal_knn_within(
 /// loop (see [`crate::sketch_tier::RetrievalMode::Approximate`]).
 ///
 /// Identical to [`optimal_knn_within`] except that the stream-stop and
-/// intermediate-filter prune conditions test against
-/// `ε' / (1 + relax)` instead of the current k-th best distance `ε'`. A
-/// candidate is only skipped when its *lower bound* exceeds
-/// `ε' / (1 + relax)`, i.e. when its exact distance is provably larger
-/// than `d_k(final) / (1 + relax)` (the pruning radius only shrinks as
-/// refinement proceeds). Every reported distance is therefore at most
-/// `(1 + relax)` times the true k-th nearest distance, while the looser
-/// cutoff stops the stream earlier and prunes more candidates before
-/// exact-EMD refinement. Reported distances are still exact EMDs.
+/// prune conditions test against `ε' / (1 + relax)` instead of the
+/// current k-th best distance `ε'`. A candidate is only skipped when one
+/// of its *lower bounds* exceeds `ε' / (1 + relax)`, i.e. when its exact
+/// distance is provably larger than `d_k(final) / (1 + relax)` (the
+/// pruning radius only shrinks as refinement proceeds, in whatever order).
+/// Every reported distance is therefore at most `(1 + relax)` times the
+/// true k-th nearest distance, while the looser cutoff stops the stream
+/// earlier and prunes more candidates before exact-EMD refinement.
+/// Reported distances are still exact EMDs.
 ///
 /// `relax = 0.0` reproduces [`optimal_knn_within`] bit for bit (the
 /// threshold divides by exactly 1.0); a non-finite or negative `relax`
@@ -386,8 +434,16 @@ pub fn optimal_knn_relaxed_within(
     stats.add_filter_evaluations(source.name(), 0);
     // Max-heap of the best k exact distances seen so far.
     let mut best: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
+    // Min-heap of the screened candidates awaiting refinement.
+    let mut pending: BinaryHeap<Reverse<Pending>> = BinaryHeap::with_capacity(LOOKAHEAD);
+    // The next ranked candidate, fetched but not yet taken; `stream_done`
+    // once the ranking is exhausted or can no longer improve the answer.
+    let mut next: Option<(usize, f64)> = None;
+    let mut stream_done = false;
+    let mut pulled = 0usize;
+    let mut pending_max = 0usize;
 
-    'stream: while let Some((id, filter_dist)) = timed(&mut source_time, || cursor.next())? {
+    'step: loop {
         if deadline.expired() {
             expire(&mut stats);
             break;
@@ -400,23 +456,59 @@ pub fn optimal_knn_relaxed_within(
         };
         // Relaxed pruning radius: with relax = 0 this is exactly ε'.
         let threshold = epsilon / (1.0 + relax);
-        if full && filter_dist > threshold {
-            break; // no remaining object can improve the result by > (1+relax)
+
+        if next.is_none() && !stream_done && pending.len() < LOOKAHEAD {
+            next = timed(&mut source_time, || cursor.next())?;
+            stream_done = next.is_none();
         }
-        let h = db.try_row(id)?;
-        if full {
-            for ((fi, filter), kernel) in intermediates.iter().enumerate().zip(&kernels) {
-                stats.add_filter_evaluations(filter.name(), 1);
-                if timed(&mut filter_times[fi], || kernel.eval(h.bins())) > threshold {
-                    continue 'stream;
+        if full && next.is_some_and(|(_, filter_dist)| filter_dist > threshold) {
+            // No remaining object can improve the result by > (1+relax).
+            next = None;
+            stream_done = true;
+        }
+        if let Some((id, filter_dist)) = next {
+            let before_min = pending
+                .peek()
+                .is_none_or(|Reverse(min)| filter_dist <= min.bound);
+            if before_min && pending.len() < LOOKAHEAD {
+                next = None;
+                pulled += 1;
+                let h = db.try_row(id)?;
+                let mut bound = filter_dist;
+                for ((fi, filter), kernel) in intermediates.iter().enumerate().zip(&kernels) {
+                    stats.add_filter_evaluations(filter.name(), 1);
+                    let lb = timed(&mut filter_times[fi], || kernel.eval(h.bins()));
+                    if lb > threshold {
+                        continue 'step;
+                    }
+                    bound = bound.max(lb);
                 }
+                pending.push(Reverse(Pending {
+                    bound,
+                    seq: pulled,
+                    id,
+                    row: h.bins().to_vec(),
+                }));
+                pending_max = pending_max.max(pending.len());
+                continue;
             }
         }
+
+        // Nothing to pull before the smallest waiting bound: refine it.
+        let Some(Reverse(cand)) = pending.pop() else {
+            break; // nothing waits, and the stream is done
+        };
+        if full && cand.bound > threshold {
+            // Every other waiting bound is at least as large.
+            pending.clear();
+            continue;
+        }
         stats.exact_evaluations += 1;
-        let (d, note) = timed(&mut exact_time, || exact_kernel.try_eval_noted(h.bins()))?;
+        let (d, note) = timed(&mut exact_time, || exact_kernel.try_eval_noted(&cand.row))?;
         if let Some(note) = note {
             stats.record_degradation_once(note);
         }
+        let id = cand.id;
         if !full {
             best.push(HeapEntry { dist: d, id });
         } else if d < epsilon || (d == epsilon && best.peek().is_some_and(|top| id < top.id)) {
@@ -439,6 +531,8 @@ pub fn optimal_knn_relaxed_within(
     stats.results = items.len() as u64;
     stats.set_elapsed(start.elapsed());
     span.record("exact_evaluations", stats.exact_evaluations as f64);
+    span.record("pulled", pulled as f64);
+    span.record("pending_max", pending_max as f64);
     Ok(QueryResult { items, stats })
 }
 
@@ -777,33 +871,39 @@ mod tests {
         let cost = grid.cost_matrix();
         let exact = ExactEmd::new(cost.clone());
         let source = ScanSource::new(&db, LbManhattan::new(&cost));
+        let im = LbIm::new(&cost);
         let k = 5;
+        // Without intermediates the loop refines in ranking order; with
+        // LB_IM it refines in lower-bound order.
+        let chains: [&[&dyn DistanceMeasure]; 2] = [&[], &[&im]];
         for seed in 0..4 {
             let q = random_histogram(&mut StdRng::seed_from_u64(9800 + seed), grid.num_bins());
             let truth = linear_scan_knn(&db, &q, k, &exact).unwrap();
             let true_kth = truth.items.last().unwrap().1;
-            for relax in [0.25, 0.5, 1.0, 4.0] {
-                let r = optimal_knn_relaxed_within(
-                    &source,
-                    &db,
-                    &q,
-                    k,
-                    relax,
-                    &[],
-                    &exact,
-                    Deadline::none(),
-                )
-                .unwrap();
-                assert_eq!(r.items.len(), k);
-                for (_, d) in &r.items {
-                    assert!(
-                        *d <= (1.0 + relax) * true_kth + 1e-9,
-                        "seed {seed} relax {relax}: {d} > (1+eps) * {true_kth}"
-                    );
+            for intermediates in chains {
+                for relax in [0.25, 0.5, 1.0, 4.0] {
+                    let r = optimal_knn_relaxed_within(
+                        &source,
+                        &db,
+                        &q,
+                        k,
+                        relax,
+                        intermediates,
+                        &exact,
+                        Deadline::none(),
+                    )
+                    .unwrap();
+                    assert_eq!(r.items.len(), k);
+                    for (_, d) in &r.items {
+                        assert!(
+                            *d <= (1.0 + relax) * true_kth + 1e-9,
+                            "seed {seed} relax {relax}: {d} > (1+eps) * {true_kth}"
+                        );
+                    }
+                    // More slack never costs more refinements than exact.
+                    let strict = optimal_knn(&source, &db, &q, k, intermediates, &exact).unwrap();
+                    assert!(r.stats.exact_evaluations <= strict.stats.exact_evaluations);
                 }
-                // More slack never costs more refinements than exact.
-                let strict = optimal_knn(&source, &db, &q, k, &[], &exact).unwrap();
-                assert!(r.stats.exact_evaluations <= strict.stats.exact_evaluations);
             }
         }
     }

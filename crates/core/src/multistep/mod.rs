@@ -8,8 +8,10 @@
 //! * [`gemini_knn`] — the classic GEMINI two-pass k-NN
 //!   (Faloutsos et al.),
 //! * [`optimal_knn`] — the optimal multistep k-NN of Seidl & Kriegel
-//!   (SIGMOD 1998), which interleaves ranking and refinement and provably
-//!   generates the minimum number of exact-distance candidates,
+//!   (SIGMOD 1998), which interleaves ranking and refinement, refines the
+//!   candidate with the tightest lower bound first, and without
+//!   intermediate filters provably generates the minimum number of
+//!   exact-distance candidates,
 //! * [`linear_scan_knn`] — the no-filter baseline (sequential scan with
 //!   the exact distance), the paper's comparison floor.
 //!

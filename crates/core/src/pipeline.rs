@@ -56,7 +56,7 @@ pub enum FirstStage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KnnAlgorithm {
     /// Optimal multistep (Seidl & Kriegel) — interleaves ranking and
-    /// refinement; minimal candidate count.
+    /// refinement, tightest lower bound first.
     #[default]
     Optimal,
     /// Classic GEMINI two-pass k-NN.

@@ -67,7 +67,7 @@ proptest! {
     fn paged_queries_are_bit_identical_to_resident(
         seed in 0u64..1000,
         rows in 40usize..100,
-        k in 1usize..8,
+        k in 1usize..60,
     ) {
         let resident = build_db(seed, rows);
         let vfs = FaultVfs::new();

@@ -7,7 +7,7 @@
 //! per filter — `LB(x, y) ≤ EMD(x, y)` — plus the correctness of the
 //! query algorithms, both exercised here.
 
-use earthmover::core::multistep::{optimal_knn, range_query, ScanSource};
+use earthmover::core::multistep::{optimal_knn, range_query, CandidateSource, ScanSource};
 use earthmover::{
     linear_scan_knn, BinGrid, CostMatrix, DistanceMeasure, ExactEmd, Histogram, HistogramDb, LbAvg,
     LbEuclidean, LbIm, LbManhattan, LbMax,
@@ -164,6 +164,47 @@ fn bound_dominance_chain_on_corpus_histograms() {
             let (x, y) = (&db.get(i).to_histogram(), &db.get(j).to_histogram());
             assert!(eucl.distance(x, y) <= man.distance(x, y) + 1e-12);
             assert!(im_basic.distance(x, y) <= im_full.distance(x, y) + 1e-12);
+        }
+    }
+}
+
+/// The optimal k-NN loop holds at most 40 screened candidates waiting for
+/// refinement. Below, at and past that cap, under a weak ranking that
+/// fills the waiting set (LB_Man) and a stronger one (LB_Avg), its
+/// distance profile is the linear scan's.
+#[test]
+fn optimal_knn_lookahead_is_complete_at_and_past_its_cap() {
+    for axes in [vec![2, 2, 2], vec![4, 2, 2]] {
+        let grid = BinGrid::new(axes);
+        let cost = grid.cost_matrix();
+        let mut rng = StdRng::seed_from_u64(0x4c4f_4f4b);
+        let mut db = HistogramDb::new(grid.num_bins());
+        for _ in 0..400 {
+            db.push(random_histogram(&mut rng, grid.num_bins()));
+        }
+        let exact = ExactEmd::new(cost.clone());
+        let im = LbIm::new(&cost);
+        let man = ScanSource::new(&db, LbManhattan::new(&cost));
+        let avg = ScanSource::new(&db, LbAvg::new(grid.centroids().to_vec()));
+        let sources: [(&str, &dyn CandidateSource); 2] = [("LB_Man", &man), ("LB_Avg", &avg)];
+        for _ in 0..15 {
+            let q = random_histogram(&mut rng, grid.num_bins());
+            // Every k's answer is a prefix of the largest one's profile.
+            let brute: Vec<f64> = linear_scan_knn(&db, &q, 150, &exact)
+                .unwrap()
+                .items
+                .iter()
+                .map(|(_, d)| *d)
+                .collect();
+            for k in [1, 10, 39, 40, 41, 150] {
+                for (name, source) in sources {
+                    let multi = optimal_knn(source, &db, &q, k, &[&im], &exact).unwrap();
+                    assert_eq!(multi.items.len(), k, "{name} k={k}");
+                    for ((_, a), b) in multi.items.iter().zip(&brute) {
+                        assert!((a - b).abs() < 1e-9, "{name} k={k}: {a} vs {b}");
+                    }
+                }
+            }
         }
     }
 }
