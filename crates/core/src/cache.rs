@@ -31,7 +31,7 @@ pub struct CacheKey {
     /// FNV-1a hash of the filter's parameters
     /// ([`crate::DistanceMeasure::cache_signature`]).
     pub params: u64,
-    /// FNV-1a hash of the query bins ([`query_signature`]).
+    /// FNV-1a hash of the query bins ([`signature_of`]).
     pub query: u64,
     /// Rows the column covers (belt-and-braces alongside invalidation).
     pub rows: usize,

@@ -7,7 +7,7 @@
 //! buffer pool (see [`crate::provider`] and [`crate::storage`]'s
 //! `open_paged`), and scans stream pinned block leases instead of
 //! borrowing one big slice. Rows are handed out as cheap
-//! [`HistogramRef`](crate::histogram::HistogramRef) borrowed views on
+//! [`HistogramRef`] borrowed views on
 //! the resident path and as pinning [`RowLease`]s on the fallible path;
 //! block-oriented distance kernels (see
 //! [`crate::lower_bounds::DistanceKernel`]) consume whole blocks via

@@ -92,6 +92,7 @@ pub use histogram::{Histogram, HistogramRef};
 pub use lower_bounds::{
     DistanceKernel, DistanceMeasure, ExactEmd, LbAvg, LbEuclidean, LbIm, LbManhattan, LbMax,
 };
+pub use pipeline::QueryPlan;
 pub use provider::{BlockData, BlockProvider, RowLease};
 pub use sketch_tier::{RetrievalInfo, RetrievalMode, SketchTier};
 

@@ -73,30 +73,12 @@ fn sort_items(mut items: Vec<(usize, f64)>) -> Vec<(usize, f64)> {
 /// the same ε; each intermediate filter then prunes candidates whose
 /// bound already exceeds ε; survivors are refined with the exact
 /// distance. Completeness follows from the lower-bounding lemma of §3.3.
-pub fn range_query(
-    source: &dyn CandidateSource,
-    db: &HistogramDb,
-    q: &Histogram,
-    epsilon: f64,
-    intermediates: &[&dyn DistanceMeasure],
-    exact: &dyn DistanceMeasure,
-) -> Result<QueryResult, PipelineError> {
-    range_query_within(
-        source,
-        db,
-        q,
-        epsilon,
-        intermediates,
-        exact,
-        Deadline::none(),
-    )
-}
-
-/// [`range_query`] under a wall-clock budget. When `deadline` expires the
-/// refinement loop stops where it is and the result set built so far is
-/// returned, with [`QueryStats::deadline_expired`] set and a degradation
-/// note recorded. Distances in a partial result are still exact; objects
-/// never reached are simply absent.
+///
+/// When `deadline` expires the refinement loop stops where it is and the
+/// result set built so far is returned, with
+/// [`QueryStats::deadline_expired`] set and a degradation note recorded.
+/// Distances in a partial result are still exact; objects never reached
+/// are simply absent.
 pub fn range_query_within(
     source: &dyn CandidateSource,
     db: &HistogramDb,
@@ -171,22 +153,12 @@ pub fn range_query_within(
 ///
 /// Correct and complete, but `ε'` never shrinks once set — the
 /// inefficiency the optimal algorithm removes.
-pub fn gemini_knn(
-    source: &dyn CandidateSource,
-    db: &HistogramDb,
-    q: &Histogram,
-    k: usize,
-    exact: &dyn DistanceMeasure,
-) -> Result<QueryResult, PipelineError> {
-    gemini_knn_within(source, db, q, k, exact, Deadline::none())
-}
-
-/// [`gemini_knn`] under a wall-clock budget. An expired deadline stops
-/// refinement between candidates; whatever has been refined so far is
-/// ranked and truncated to `k`, with [`QueryStats::deadline_expired`]
-/// set. A partial GEMINI answer is a best-effort k-NN estimate: reported
-/// distances are exact, but an unrefined candidate could have displaced a
-/// reported one.
+///
+/// An expired `deadline` stops refinement between candidates; whatever
+/// has been refined so far is ranked and truncated to `k`, with
+/// [`QueryStats::deadline_expired`] set. A partial GEMINI answer is a
+/// best-effort k-NN estimate: reported distances are exact, but an
+/// unrefined candidate could have displaced a reported one.
 pub fn gemini_knn_within(
     source: &dyn CandidateSource,
     db: &HistogramDb,
@@ -341,52 +313,29 @@ impl Ord for Pending {
 /// brings `ε'` near the true k-th distance while few solves have
 /// happened, so fewer candidates survive to be refined. The answer does
 /// not depend on the order: it is the top k under `(distance, id)`.
-pub fn optimal_knn(
-    source: &dyn CandidateSource,
-    db: &HistogramDb,
-    q: &Histogram,
-    k: usize,
-    intermediates: &[&dyn DistanceMeasure],
-    exact: &dyn DistanceMeasure,
-) -> Result<QueryResult, PipelineError> {
-    optimal_knn_within(source, db, q, k, intermediates, exact, Deadline::none())
-}
-
-/// [`optimal_knn`] under a wall-clock budget. An expired deadline stops
-/// the loop between two steps (never mid-refinement). The best k of the
-/// candidates refined so far are returned as a best-effort partial answer
-/// with [`QueryStats::deadline_expired`] set. Reported distances are
-/// exact, but a candidate still waiting or not yet pulled could have
-/// displaced a reported one.
-pub fn optimal_knn_within(
-    source: &dyn CandidateSource,
-    db: &HistogramDb,
-    q: &Histogram,
-    k: usize,
-    intermediates: &[&dyn DistanceMeasure],
-    exact: &dyn DistanceMeasure,
-    deadline: Deadline,
-) -> Result<QueryResult, PipelineError> {
-    optimal_knn_relaxed_within(source, db, q, k, 0.0, intermediates, exact, deadline)
-}
-
-/// ε-relaxed optimal multistep k-NN — the approximate tier's refinement
-/// loop (see [`crate::sketch_tier::RetrievalMode::Approximate`]).
 ///
-/// Identical to [`optimal_knn_within`] except that the stream-stop and
-/// prune conditions test against `ε' / (1 + relax)` instead of the
-/// current k-th best distance `ε'`. A candidate is only skipped when one
-/// of its *lower bounds* exceeds `ε' / (1 + relax)`, i.e. when its exact
-/// distance is provably larger than `d_k(final) / (1 + relax)` (the
-/// pruning radius only shrinks as refinement proceeds, in whatever order).
-/// Every reported distance is therefore at most `(1 + relax)` times the
-/// true k-th nearest distance, while the looser cutoff stops the stream
-/// earlier and prunes more candidates before exact-EMD refinement.
-/// Reported distances are still exact EMDs.
+/// An expired `deadline` stops the loop between two steps (never
+/// mid-refinement). The best k of the candidates refined so far are
+/// returned as a best-effort partial answer with
+/// [`QueryStats::deadline_expired`] set. Reported distances are exact,
+/// but a candidate still waiting or not yet pulled could have displaced a
+/// reported one.
 ///
-/// `relax = 0.0` reproduces [`optimal_knn_within`] bit for bit (the
-/// threshold divides by exactly 1.0); a non-finite or negative `relax`
-/// is treated as `0.0`.
+/// `relax` is the approximate tier's slack (see
+/// [`crate::sketch_tier::RetrievalMode::Approximate`]): the stream-stop
+/// and prune conditions test against `ε' / (1 + relax)` instead of `ε'`.
+/// A candidate is only skipped when one of its *lower bounds* exceeds
+/// `ε' / (1 + relax)`, i.e. when its exact distance is provably larger
+/// than `d_k(final) / (1 + relax)` (the pruning radius only shrinks as
+/// refinement proceeds, in whatever order). Every reported distance is
+/// therefore at most `(1 + relax)` times the true k-th nearest distance,
+/// while the looser cutoff stops the stream earlier and prunes more
+/// candidates before exact-EMD refinement. Reported distances are still
+/// exact EMDs.
+///
+/// `relax = 0.0` is the exact algorithm, bit for bit (the threshold
+/// divides by exactly 1.0); a non-finite or negative `relax` is treated
+/// as `0.0`.
 #[allow(clippy::too_many_arguments)]
 #[expect(clippy::float_cmp, reason = "a tie at the k-th distance breaks on id")]
 pub fn optimal_knn_relaxed_within(
@@ -544,19 +493,6 @@ pub fn linear_scan_knn(
     k: usize,
     exact: &dyn DistanceMeasure,
 ) -> Result<QueryResult, PipelineError> {
-    linear_scan_knn_within(db, q, k, exact, Deadline::none())
-}
-
-/// [`linear_scan_knn`] under a wall-clock budget. An expired deadline
-/// stops the scan; the k-best heap over the scanned prefix is returned
-/// with [`QueryStats::deadline_expired`] set.
-pub fn linear_scan_knn_within(
-    db: &HistogramDb,
-    q: &Histogram,
-    k: usize,
-    exact: &dyn DistanceMeasure,
-    deadline: Deadline,
-) -> Result<QueryResult, PipelineError> {
     let mut span = obs::span!(names::LINEAR_SCAN_KNN, k = k);
     let start = Instant::now();
     let mut stats = QueryStats {
@@ -575,10 +511,6 @@ pub fn linear_scan_knn_within(
     let exact_kernel = exact.prepare(q);
     let mut best: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
     for id in 0..db.len() {
-        if deadline.expired() {
-            expire(&mut stats);
-            break;
-        }
         let h = db.try_row(id)?;
         stats.exact_evaluations += 1;
         let (d, note) = timed(&mut exact_time, || exact_kernel.try_eval_noted(h.bins()))?;
@@ -618,6 +550,55 @@ mod tests {
         (grid, db)
     }
 
+    fn optimal(
+        source: &dyn CandidateSource,
+        db: &HistogramDb,
+        q: &Histogram,
+        k: usize,
+        intermediates: &[&dyn DistanceMeasure],
+        exact: &dyn DistanceMeasure,
+    ) -> Result<QueryResult, PipelineError> {
+        optimal_knn_relaxed_within(
+            source,
+            db,
+            q,
+            k,
+            0.0,
+            intermediates,
+            exact,
+            Deadline::none(),
+        )
+    }
+
+    fn gemini(
+        source: &dyn CandidateSource,
+        db: &HistogramDb,
+        q: &Histogram,
+        k: usize,
+        exact: &dyn DistanceMeasure,
+    ) -> Result<QueryResult, PipelineError> {
+        gemini_knn_within(source, db, q, k, exact, Deadline::none())
+    }
+
+    fn range(
+        source: &dyn CandidateSource,
+        db: &HistogramDb,
+        q: &Histogram,
+        epsilon: f64,
+        intermediates: &[&dyn DistanceMeasure],
+        exact: &dyn DistanceMeasure,
+    ) -> Result<QueryResult, PipelineError> {
+        range_query_within(
+            source,
+            db,
+            q,
+            epsilon,
+            intermediates,
+            exact,
+            Deadline::none(),
+        )
+    }
+
     #[test]
     fn optimal_knn_matches_linear_scan() {
         let (grid, db) = setup(80, 11);
@@ -626,7 +607,7 @@ mod tests {
         let source = ScanSource::new(&db, LbManhattan::new(&cost));
         let q = random_histogram(&mut StdRng::seed_from_u64(5000), grid.num_bins());
         for k in [1, 3, 10] {
-            let multi = optimal_knn(&source, &db, &q, k, &[], &exact).unwrap();
+            let multi = optimal(&source, &db, &q, k, &[], &exact).unwrap();
             let brute = linear_scan_knn(&db, &q, k, &exact).unwrap();
             let md: Vec<f64> = multi.items.iter().map(|(_, d)| *d).collect();
             let bd: Vec<f64> = brute.items.iter().map(|(_, d)| *d).collect();
@@ -647,7 +628,7 @@ mod tests {
         let source = ScanSource::new(&db, LbManhattan::new(&cost));
         let q = random_histogram(&mut StdRng::seed_from_u64(6000), grid.num_bins());
         for k in [1, 5] {
-            let multi = gemini_knn(&source, &db, &q, k, &exact).unwrap();
+            let multi = gemini(&source, &db, &q, k, &exact).unwrap();
             let brute = linear_scan_knn(&db, &q, k, &exact).unwrap();
             let md: Vec<f64> = multi.items.iter().map(|(_, d)| *d).collect();
             let bd: Vec<f64> = brute.items.iter().map(|(_, d)| *d).collect();
@@ -667,8 +648,8 @@ mod tests {
         let source = ScanSource::new(&db, LbManhattan::new(&cost));
         for seed in 0..5 {
             let q = random_histogram(&mut StdRng::seed_from_u64(7000 + seed), grid.num_bins());
-            let opt = optimal_knn(&source, &db, &q, 5, &[], &exact).unwrap();
-            let gem = gemini_knn(&source, &db, &q, 5, &exact).unwrap();
+            let opt = optimal(&source, &db, &q, 5, &[], &exact).unwrap();
+            let gem = gemini(&source, &db, &q, 5, &exact).unwrap();
             assert!(
                 opt.stats.exact_evaluations <= gem.stats.exact_evaluations,
                 "seed {seed}: optimal {} > gemini {}",
@@ -687,7 +668,7 @@ mod tests {
         let im = LbIm::new(&cost);
         let q = random_histogram(&mut StdRng::seed_from_u64(8000), grid.num_bins());
         for eps in [0.02, 0.08, 0.2] {
-            let result = range_query(&source, &db, &q, eps, &[&im], &exact).unwrap();
+            let result = range(&source, &db, &q, eps, &[&im], &exact).unwrap();
             let mut expect: Vec<(usize, f64)> = db
                 .iter()
                 .map(|(id, h)| (id, exact.distance(&q, &h.to_histogram())))
@@ -710,8 +691,8 @@ mod tests {
         let source = ScanSource::new(&db, LbManhattan::new(&cost));
         let im = LbIm::new(&cost);
         let q = random_histogram(&mut StdRng::seed_from_u64(9000), grid.num_bins());
-        let without = optimal_knn(&source, &db, &q, 5, &[], &exact).unwrap();
-        let with = optimal_knn(&source, &db, &q, 5, &[&im], &exact).unwrap();
+        let without = optimal(&source, &db, &q, 5, &[], &exact).unwrap();
+        let with = optimal(&source, &db, &q, 5, &[&im], &exact).unwrap();
         // Same results...
         let a: Vec<f64> = without.items.iter().map(|(_, d)| *d).collect();
         let b: Vec<f64> = with.items.iter().map(|(_, d)| *d).collect();
@@ -729,18 +710,18 @@ mod tests {
         let exact = ExactEmd::new(cost.clone());
         let source = ScanSource::new(&db, LbManhattan::new(&cost));
         let q = db.get(0).to_histogram();
-        assert!(optimal_knn(&source, &db, &q, 0, &[], &exact)
+        assert!(optimal(&source, &db, &q, 0, &[], &exact)
             .unwrap()
             .items
             .is_empty());
-        assert!(gemini_knn(&source, &db, &q, 0, &exact)
+        assert!(gemini(&source, &db, &q, 0, &exact)
             .unwrap()
             .items
             .is_empty());
 
         let empty = HistogramDb::new(grid.num_bins());
         let esource = ScanSource::new(&empty, LbManhattan::new(&cost));
-        assert!(optimal_knn(&esource, &empty, &q, 3, &[], &exact)
+        assert!(optimal(&esource, &empty, &q, 3, &[], &exact)
             .unwrap()
             .items
             .is_empty());
@@ -753,9 +734,9 @@ mod tests {
         let exact = ExactEmd::new(cost.clone());
         let source = ScanSource::new(&db, LbManhattan::new(&cost));
         let q = db.get(0).to_histogram();
-        let r = optimal_knn(&source, &db, &q, 50, &[], &exact).unwrap();
+        let r = optimal(&source, &db, &q, 50, &[], &exact).unwrap();
         assert_eq!(r.items.len(), 7);
-        let g = gemini_knn(&source, &db, &q, 50, &exact).unwrap();
+        let g = gemini(&source, &db, &q, 50, &exact).unwrap();
         assert_eq!(g.items.len(), 7);
     }
 
@@ -767,7 +748,7 @@ mod tests {
         let source = ScanSource::new(&db, LbManhattan::new(&cost));
         let im = LbIm::new(&cost);
         let q = random_histogram(&mut StdRng::seed_from_u64(9500), grid.num_bins());
-        let r = optimal_knn(&source, &db, &q, 5, &[&im], &exact).unwrap();
+        let r = optimal(&source, &db, &q, 5, &[&im], &exact).unwrap();
         let s = &r.stats;
         // The candidate source leads the filter counts, k-NN and range.
         let stages = |s: &QueryStats| -> Vec<String> {
@@ -777,7 +758,7 @@ mod tests {
                 .collect()
         };
         assert_eq!(stages(s), [source.name(), "LB_IM"]);
-        let range = range_query(&source, &db, &q, 0.2, &[&im], &exact).unwrap();
+        let range = range(&source, &db, &q, 0.2, &[&im], &exact).unwrap();
         assert_eq!(stages(&range.stats), [source.name(), "LB_IM"]);
         // All three stages appear, and exact refinement took real time.
         assert!(s.stage_time(stage::CANDIDATES).is_some());
@@ -819,9 +800,9 @@ mod tests {
         let source = ScanSource::new(&db, LbManhattan::new(&cost));
         let q = random_histogram(&mut StdRng::seed_from_u64(9600), grid.num_bins());
         for result in [
-            optimal_knn(&source, &db, &q, 5, &[], &exact).unwrap(),
-            gemini_knn(&source, &db, &q, 5, &exact).unwrap(),
-            range_query(&source, &db, &q, 0.2, &[], &exact).unwrap(),
+            optimal(&source, &db, &q, 5, &[], &exact).unwrap(),
+            gemini(&source, &db, &q, 5, &exact).unwrap(),
+            range(&source, &db, &q, 0.2, &[], &exact).unwrap(),
             linear_scan_knn(&db, &q, 5, &exact).unwrap(),
         ] {
             assert!(result.stats.exact_evaluations > 1);
@@ -841,28 +822,23 @@ mod tests {
         let source = ScanSource::new(&db, LbManhattan::new(&cost));
         let im = LbIm::new(&cost);
         let q = random_histogram(&mut StdRng::seed_from_u64(9700), grid.num_bins());
-        let strict = optimal_knn(&source, &db, &q, 5, &[&im], &exact).unwrap();
-        let relaxed =
-            optimal_knn_relaxed_within(&source, &db, &q, 5, 0.0, &[&im], &exact, Deadline::none())
-                .unwrap();
-        assert_eq!(strict.items, relaxed.items);
-        assert_eq!(
-            strict.stats.exact_evaluations,
-            relaxed.stats.exact_evaluations
-        );
+        let strict = optimal(&source, &db, &q, 5, &[&im], &exact).unwrap();
         // Garbage slack values degrade to exact, not to nonsense.
-        let nan = optimal_knn_relaxed_within(
-            &source,
-            &db,
-            &q,
-            5,
-            f64::NAN,
-            &[&im],
-            &exact,
-            Deadline::none(),
-        )
-        .unwrap();
-        assert_eq!(strict.items, nan.items);
+        for relax in [f64::NAN, -1.0, f64::INFINITY] {
+            let r = optimal_knn_relaxed_within(
+                &source,
+                &db,
+                &q,
+                5,
+                relax,
+                &[&im],
+                &exact,
+                Deadline::none(),
+            )
+            .unwrap();
+            assert_eq!(strict.items, r.items, "relax {relax}");
+            assert_eq!(strict.stats.exact_evaluations, r.stats.exact_evaluations);
+        }
     }
 
     #[test]
@@ -901,7 +877,7 @@ mod tests {
                         );
                     }
                     // More slack never costs more refinements than exact.
-                    let strict = optimal_knn(&source, &db, &q, k, intermediates, &exact).unwrap();
+                    let strict = optimal(&source, &db, &q, k, intermediates, &exact).unwrap();
                     assert!(r.stats.exact_evaluations <= strict.stats.exact_evaluations);
                 }
             }
@@ -915,7 +891,7 @@ mod tests {
         let exact = ExactEmd::new(cost.clone());
         let source = ScanSource::new(&db, LbManhattan::new(&cost));
         let q = db.get(7).to_histogram();
-        let r = optimal_knn(&source, &db, &q, 1, &[], &exact).unwrap();
+        let r = optimal(&source, &db, &q, 1, &[], &exact).unwrap();
         assert!(r.items[0].1 < 1e-12);
     }
 }

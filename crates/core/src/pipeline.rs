@@ -25,8 +25,8 @@ use crate::ground::BinGrid;
 use crate::histogram::Histogram;
 use crate::lower_bounds::{DistanceMeasure, ExactEmd, LbAvg, LbIm, LbManhattan};
 use crate::multistep::{
-    gemini_knn_within, optimal_knn_relaxed_within, optimal_knn_within, range_query_within,
-    CandidateSource, QueryResult, RtreeSource, ScanSource,
+    gemini_knn_within, optimal_knn_relaxed_within, range_query_within, CandidateSource,
+    QueryResult, RtreeSource, ScanSource,
 };
 use crate::reduce::{AvgReducer, ManhattanReducer};
 use crate::sketch_tier::{RetrievalInfo, RetrievalMode, SketchTier, SKETCH_UNAVAILABLE_NOTE};
@@ -61,6 +61,30 @@ pub enum KnnAlgorithm {
     Optimal,
     /// Classic GEMINI two-pass k-NN.
     Gemini,
+}
+
+/// One query, as every layer below the wire describes it: the engine
+/// ([`QueryEngine::query`]), the coordinator and the shard client take
+/// this and nothing else.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum QueryPlan {
+    /// The `k` nearest neighbors.
+    Knn {
+        /// Neighbors wanted; any `k` at or above the row count returns
+        /// every row.
+        k: usize,
+        /// Retrieval tier. `None` is the mode-less exact pipeline, not
+        /// `Some(Exact)`: its result reports no
+        /// [`crate::stats::QueryStats::retrieval`], which keeps its wire
+        /// response byte-identical to protocol v1.
+        mode: Option<RetrievalMode>,
+    },
+    /// Every object within EMD `epsilon` of the query; always exact, so a
+    /// range plan carries no mode.
+    Range {
+        /// Inclusive EMD threshold.
+        epsilon: f64,
+    },
 }
 
 enum Stage<'a> {
@@ -266,72 +290,45 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    fn knn_on(
+    /// Runs one multistep algorithm on the first stage. On a source
+    /// failure it re-runs it on the sequential-scan fallback under the
+    /// same deadline (so a failure cannot double the budget), marks `span`
+    /// degraded and records the degradation note.
+    fn with_fallback(
         &self,
-        source: &dyn CandidateSource,
-        q: &Histogram,
-        k: usize,
-        deadline: Deadline,
+        span: &mut obs::Span,
+        run: impl Fn(&dyn CandidateSource) -> Result<QueryResult, PipelineError>,
     ) -> Result<QueryResult, PipelineError> {
-        match self.algorithm {
-            KnnAlgorithm::Optimal => optimal_knn_within(
-                source,
-                self.db,
-                q,
-                k,
-                &self.intermediates(),
-                &self.exact,
-                deadline,
-            ),
-            KnnAlgorithm::Gemini => gemini_knn_within(source, self.db, q, k, &self.exact, deadline),
-        }
-    }
-
-    /// Annotates a fallback result with the degradation that caused it.
-    fn record_degradation(result: &mut QueryResult, stage: &str, reason: &str) {
-        result.stats.degradations.push(format!(
-            "first stage '{stage}' failed ({reason}); degraded to sequential scan"
-        ));
-    }
-
-    /// k-nearest-neighbor query with the configured pipeline.
-    ///
-    /// On a first-stage source failure the query is transparently re-run
-    /// on a sequential scan (see the type docs); only exact-distance
-    /// failures that survive the solver recovery ladder surface as errors.
-    pub fn knn(&self, q: &Histogram, k: usize) -> Result<QueryResult, PipelineError> {
-        self.knn_within(q, k, Deadline::none())
-    }
-
-    /// [`QueryEngine::knn`] under a wall-clock budget. When `deadline`
-    /// expires mid-query the best-effort partial result accumulated so
-    /// far comes back with
-    /// [`crate::stats::QueryStats::deadline_expired`] set and a
-    /// degradation note recorded — the serving layer turns this into a
-    /// typed `DeadlineExceeded` response instead of hanging a connection.
-    /// The scan fallback on a first-stage failure runs under the *same*
-    /// deadline, so a failure cannot double the budget.
-    pub fn knn_within(
-        &self,
-        q: &Histogram,
-        k: usize,
-        deadline: Deadline,
-    ) -> Result<QueryResult, PipelineError> {
-        let mut span = obs::span!(names::ENGINE_KNN, k = k);
-        match self.knn_on(self.stage.as_source(), q, k, deadline) {
+        match run(self.stage.as_source()) {
             Err(PipelineError::Source { stage, reason }) => {
                 span.record("degraded", 1.0);
-                let mut result = self.knn_on(&self.fallback, q, k, deadline)?;
-                Self::record_degradation(&mut result, &stage, &reason);
+                let mut result = run(&self.fallback)?;
+                result.stats.degradations.push(format!(
+                    "first stage '{stage}' failed ({reason}); degraded to sequential scan"
+                ));
                 Ok(result)
             }
             other => other,
         }
     }
 
-    /// [`QueryEngine::knn`] on an explicit recall/latency tier.
+    /// Runs `plan` for the query `q` with the configured pipeline under a
+    /// wall-clock budget.
     ///
-    /// * [`RetrievalMode::Exact`] — the configured pipeline, recall 1.0.
+    /// On a first-stage source failure the query is transparently re-run
+    /// on a sequential scan (see the type docs); only exact-distance
+    /// failures that survive the solver recovery ladder surface as errors.
+    /// When `deadline` expires mid-query the best-effort partial result
+    /// accumulated so far comes back with
+    /// [`crate::stats::QueryStats::deadline_expired`] set and a
+    /// degradation note recorded — the serving layer turns this into a
+    /// typed `DeadlineExceeded` response instead of hanging a connection.
+    ///
+    /// A k-NN plan's retrieval tier:
+    ///
+    /// * `None` — the configured pipeline, and the result's
+    ///   [`crate::stats::QueryStats::retrieval`] stays `None`.
+    /// * [`RetrievalMode::Exact`] — the same answer, reported as recall 1.0.
     /// * [`RetrievalMode::Approximate`] — ε-relaxed optimal multistep
     ///   refinement (regardless of the configured [`KnnAlgorithm`]):
     ///   every reported neighbor is within `(1 + ε)` of the true k-th
@@ -339,57 +336,38 @@ impl<'a> QueryEngine<'a> {
     /// * [`RetrievalMode::SketchOnly`] — answered straight from the
     ///   attached sketch tier, skipping refinement; degrades to exact
     ///   with [`SKETCH_UNAVAILABLE_NOTE`] when no tier is attached.
-    ///
-    /// Unlike the mode-less API, the result's
-    /// [`crate::stats::QueryStats::retrieval`] is always populated.
-    pub fn knn_mode(
+    pub fn query(
         &self,
         q: &Histogram,
-        k: usize,
-        mode: RetrievalMode,
-    ) -> Result<QueryResult, PipelineError> {
-        self.knn_mode_within(q, k, mode, Deadline::none())
-    }
-
-    /// [`QueryEngine::knn_mode`] under a wall-clock budget; partial-result
-    /// semantics as for [`QueryEngine::knn_within`].
-    pub fn knn_mode_within(
-        &self,
-        q: &Histogram,
-        k: usize,
-        mode: RetrievalMode,
+        plan: QueryPlan,
         deadline: Deadline,
     ) -> Result<QueryResult, PipelineError> {
-        match mode {
-            RetrievalMode::Exact => {
-                let mut result = self.knn_within(q, k, deadline)?;
-                result.stats.retrieval = Some(RetrievalInfo { mode, recall: 1.0 });
-                Ok(result)
-            }
-            RetrievalMode::Approximate { epsilon } => {
-                let mut span = obs::span!(names::ENGINE_KNN, k = k);
-                span.record("relax", epsilon);
-                let run = |source: &dyn CandidateSource| {
-                    optimal_knn_relaxed_within(
+        let intermediates = self.intermediates();
+        let (k, mode) = match plan {
+            QueryPlan::Range { epsilon } => {
+                let mut span = obs::span!(names::ENGINE_RANGE, epsilon = epsilon);
+                return self.with_fallback(&mut span, |source| {
+                    range_query_within(
                         source,
                         self.db,
                         q,
-                        k,
                         epsilon,
-                        &self.intermediates(),
+                        &intermediates,
                         &self.exact,
                         deadline,
                     )
-                };
-                let mut result = match run(self.stage.as_source()) {
-                    Err(PipelineError::Source { stage, reason }) => {
-                        span.record("degraded", 1.0);
-                        let mut result = run(&self.fallback)?;
-                        Self::record_degradation(&mut result, &stage, &reason);
-                        result
-                    }
-                    other => other?,
-                };
+                });
+            }
+            QueryPlan::Knn { k, mode } => (k, mode),
+        };
+        let exact = RetrievalInfo {
+            mode: RetrievalMode::Exact,
+            recall: 1.0,
+        };
+        let (relax, retrieval) = match mode {
+            None => (None, None),
+            Some(RetrievalMode::Exact) => (None, Some(exact)),
+            Some(RetrievalMode::Approximate { epsilon }) => {
                 // The distance-ratio guarantee as a worst-case recall
                 // figure; negative/non-finite slack degrades to exact.
                 let slack = if epsilon.is_finite() && epsilon > 0.0 {
@@ -397,67 +375,74 @@ impl<'a> QueryEngine<'a> {
                 } else {
                     0.0
                 };
-                result.stats.retrieval = Some(RetrievalInfo {
-                    mode,
+                let info = RetrievalInfo {
+                    mode: RetrievalMode::Approximate { epsilon },
                     recall: 1.0 / (1.0 + slack),
-                });
-                Ok(result)
+                };
+                (Some(epsilon), Some(info))
             }
-            RetrievalMode::SketchOnly => match &self.sketch {
+            Some(RetrievalMode::SketchOnly) => match &self.sketch {
                 Some(tier) => {
                     let (items, stats) = tier.knn_with_stats(q, k, deadline)?;
-                    Ok(QueryResult { items, stats })
+                    return Ok(QueryResult { items, stats });
                 }
-                None => {
-                    let mut result = self.knn_within(q, k, deadline)?;
-                    result
-                        .stats
-                        .record_degradation_once(SKETCH_UNAVAILABLE_NOTE);
-                    result.stats.retrieval = Some(RetrievalInfo {
-                        mode: RetrievalMode::Exact,
-                        recall: 1.0,
-                    });
-                    Ok(result)
-                }
+                None => (None, Some(exact)),
             },
+        };
+        let mut span = obs::span!(names::ENGINE_KNN, k = k);
+        if let Some(relax) = relax {
+            span.record("relax", relax);
         }
-    }
-
-    /// ε-range query with the configured pipeline. Degrades to a
-    /// sequential scan on first-stage failure, like [`QueryEngine::knn`].
-    pub fn range(&self, q: &Histogram, epsilon: f64) -> Result<QueryResult, PipelineError> {
-        self.range_within(q, epsilon, Deadline::none())
-    }
-
-    /// [`QueryEngine::range`] under a wall-clock budget; partial-result
-    /// semantics as for [`QueryEngine::knn_within`].
-    pub fn range_within(
-        &self,
-        q: &Histogram,
-        epsilon: f64,
-        deadline: Deadline,
-    ) -> Result<QueryResult, PipelineError> {
-        let mut span = obs::span!(names::ENGINE_RANGE, epsilon = epsilon);
-        let run = |source: &dyn CandidateSource| {
-            range_query_within(
+        let mut result = self.with_fallback(&mut span, |source| match (relax, self.algorithm) {
+            (None, KnnAlgorithm::Gemini) => {
+                gemini_knn_within(source, self.db, q, k, &self.exact, deadline)
+            }
+            (relax, _) => optimal_knn_relaxed_within(
                 source,
                 self.db,
                 q,
-                epsilon,
-                &self.intermediates(),
+                k,
+                relax.unwrap_or(0.0),
+                &intermediates,
                 &self.exact,
                 deadline,
-            )
-        };
-        match run(self.stage.as_source()) {
-            Err(PipelineError::Source { stage, reason }) => {
-                span.record("degraded", 1.0);
-                let mut result = run(&self.fallback)?;
-                Self::record_degradation(&mut result, &stage, &reason);
-                Ok(result)
-            }
-            other => other,
+            ),
+        })?;
+        if mode == Some(RetrievalMode::SketchOnly) {
+            result
+                .stats
+                .record_degradation_once(SKETCH_UNAVAILABLE_NOTE);
         }
+        result.stats.retrieval = retrieval;
+        Ok(result)
+    }
+
+    /// Mode-less k-nearest-neighbor query without a deadline:
+    /// [`QueryEngine::query`] on [`QueryPlan::Knn`] with no mode.
+    pub fn knn(&self, q: &Histogram, k: usize) -> Result<QueryResult, PipelineError> {
+        self.query(q, QueryPlan::Knn { k, mode: None }, Deadline::none())
+    }
+
+    /// k-NN on an explicit retrieval tier without a deadline; unlike
+    /// [`QueryEngine::knn`], the result's
+    /// [`crate::stats::QueryStats::retrieval`] is always populated.
+    pub fn knn_mode(
+        &self,
+        q: &Histogram,
+        k: usize,
+        mode: RetrievalMode,
+    ) -> Result<QueryResult, PipelineError> {
+        let plan = QueryPlan::Knn {
+            k,
+            mode: Some(mode),
+        };
+        self.query(q, plan, Deadline::none())
+    }
+
+    /// ε-range query without a deadline: [`QueryEngine::query`] on
+    /// [`QueryPlan::Range`].
+    pub fn range(&self, q: &Histogram, epsilon: f64) -> Result<QueryResult, PipelineError> {
+        self.query(q, QueryPlan::Range { epsilon }, Deadline::none())
     }
 }
 

@@ -6,10 +6,10 @@ use earthmover_core::deadline::{Deadline, DEADLINE_NOTE};
 use earthmover_core::ground::BinGrid;
 use earthmover_core::lower_bounds::{ExactEmd, LbManhattan};
 use earthmover_core::multistep::{
-    gemini_knn_within, linear_scan_knn_within, optimal_knn_within, range_query_within, ScanSource,
+    gemini_knn_within, optimal_knn_relaxed_within, range_query_within, ScanSource,
 };
 use earthmover_core::pipeline::QueryEngine;
-use earthmover_core::{Histogram, HistogramDb};
+use earthmover_core::{Histogram, HistogramDb, QueryPlan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -29,18 +29,8 @@ fn setup(count: usize, seed: u64) -> (BinGrid, HistogramDb) {
     (grid, db)
 }
 
-#[test]
-fn unbounded_deadline_matches_plain_call() {
-    let (grid, db) = setup(60, 1);
-    let cost = grid.cost_matrix();
-    let exact = ExactEmd::new(cost.clone());
-    let source = ScanSource::new(&db, LbManhattan::new(&cost));
-    let q = db.get(0).to_histogram();
-    let plain = earthmover_core::multistep::optimal_knn(&source, &db, &q, 5, &[], &exact).unwrap();
-    let within = optimal_knn_within(&source, &db, &q, 5, &[], &exact, Deadline::none()).unwrap();
-    assert_eq!(plain.items, within.items);
-    assert!(!within.stats.deadline_expired);
-    assert!(within.stats.degradations.is_empty());
+fn knn(k: usize) -> QueryPlan {
+    QueryPlan::Knn { k, mode: None }
 }
 
 #[test]
@@ -52,7 +42,7 @@ fn expired_deadline_returns_flagged_partial_knn() {
     let q = db.get(3).to_histogram();
     let dead = Deadline::within(Duration::ZERO);
 
-    let r = optimal_knn_within(&source, &db, &q, 5, &[], &exact, dead).unwrap();
+    let r = optimal_knn_relaxed_within(&source, &db, &q, 5, 0.0, &[], &exact, dead).unwrap();
     assert!(r.stats.deadline_expired);
     assert_eq!(r.stats.degradations, vec![DEADLINE_NOTE.to_string()]);
     // Nothing was refined before the (already expired) deadline check.
@@ -62,10 +52,6 @@ fn expired_deadline_returns_flagged_partial_knn() {
     let g = gemini_knn_within(&source, &db, &q, 5, &exact, dead).unwrap();
     assert!(g.stats.deadline_expired);
     assert!(g.stats.degradations.contains(&DEADLINE_NOTE.to_string()));
-
-    let l = linear_scan_knn_within(&db, &q, 5, &exact, dead).unwrap();
-    assert!(l.stats.deadline_expired);
-    assert_eq!(l.stats.exact_evaluations, 0);
 }
 
 #[test]
@@ -98,7 +84,7 @@ fn generous_deadline_changes_nothing() {
     let engine = QueryEngine::builder(&db, &grid).build();
     let plain = engine.knn(&q, 4).unwrap();
     let within = engine
-        .knn_within(&q, 4, Deadline::within(Duration::from_secs(3600)))
+        .query(&q, knn(4), Deadline::within(Duration::from_secs(3600)))
         .unwrap();
     assert_eq!(plain.items, within.items);
     assert!(!within.stats.deadline_expired);
@@ -110,7 +96,7 @@ fn engine_knn_within_partial_is_flagged_not_an_error() {
     let q = db.get(0).to_histogram();
     let engine = QueryEngine::builder(&db, &grid).build();
     let r = engine
-        .knn_within(&q, 5, Deadline::within(Duration::ZERO))
+        .query(&q, knn(5), Deadline::within(Duration::ZERO))
         .expect("deadline expiry must be a partial result, not an error");
     assert!(r.stats.deadline_expired);
     assert!(r.stats.degradations.contains(&DEADLINE_NOTE.to_string()));
@@ -122,7 +108,11 @@ fn engine_range_within_partial_is_flagged_not_an_error() {
     let q = db.get(0).to_histogram();
     let engine = QueryEngine::builder(&db, &grid).build();
     let r = engine
-        .range_within(&q, 10.0, Deadline::within(Duration::ZERO))
+        .query(
+            &q,
+            QueryPlan::Range { epsilon: 10.0 },
+            Deadline::within(Duration::ZERO),
+        )
         .expect("deadline expiry must be a partial result, not an error");
     assert!(r.stats.deadline_expired);
     assert!(r.items.len() < db.len());
@@ -135,7 +125,7 @@ fn merge_ors_deadline_expired() {
     let engine = QueryEngine::builder(&db, &grid).build();
     let healthy = engine.knn(&q, 3).unwrap();
     let cut = engine
-        .knn_within(&q, 3, Deadline::within(Duration::ZERO))
+        .query(&q, knn(3), Deadline::within(Duration::ZERO))
         .unwrap();
     let mut merged = healthy.stats.clone();
     merged.merge(&cut.stats);

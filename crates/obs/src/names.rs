@@ -5,7 +5,7 @@
 //! span or event name is a compile error, not a silently forked time
 //! series. Metric writers *and* readers (the fleet view, `loadgen`,
 //! tests) pass `&names::X` to [`crate::MetricsRegistry::counter`] and
-//! its siblings, so both ends of a series share one spelling. [`Name::new`]
+//! its siblings, so both ends of a series share one spelling. `Name::new`
 //! is a `const fn` that rejects anything but non-empty snake_case ASCII
 //! (Prometheus-safe), so a malformed constant fails to compile.
 //!

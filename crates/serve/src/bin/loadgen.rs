@@ -31,7 +31,7 @@
 #![deny(clippy::panic, clippy::unreachable)]
 
 use earthmover_core::ground::BinGrid;
-use earthmover_core::{Histogram, HistogramDb};
+use earthmover_core::{Histogram, HistogramDb, QueryPlan};
 use earthmover_imaging::corpus::{CorpusConfig, SyntheticCorpus};
 use earthmover_obs::names::{self, Name};
 use earthmover_obs::{json_f64, MetricsRegistry};
@@ -390,6 +390,10 @@ fn drive_cluster(
     worker_index: usize,
 ) -> Tally {
     let mut coordinator = Coordinator::new(Arc::clone(shared));
+    let plan = QueryPlan::Knn {
+        k: k as usize,
+        mode: None,
+    };
     let mut tally = Tally::default();
     let mut query_index = worker_index;
     while Instant::now() < stop_at {
@@ -399,7 +403,7 @@ fn drive_cluster(
         };
         query_index += 1;
         let started = Instant::now();
-        match coordinator.knn(q, k, 0) {
+        match coordinator.query(q, plan, 0) {
             Ok(Outcome::Complete { stats, .. }) => {
                 tally.ok += 1;
                 tally.latencies.push(started.elapsed().as_secs_f64());

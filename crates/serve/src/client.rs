@@ -9,7 +9,7 @@
 use crate::protocol::{self, ErrorCode, Request, Response, WireError, DEFAULT_MAX_FRAME_LEN};
 use crate::retry::RetryPolicy;
 use earthmover_core::stats::QueryStats;
-use earthmover_core::{Histogram, RetrievalMode};
+use earthmover_core::{Histogram, QueryPlan, RetrievalMode};
 use earthmover_obs as obs;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -200,11 +200,7 @@ impl Client {
         self.retries
     }
 
-    fn call(&mut self, req: &Request) -> Result<(u64, Response), ClientError> {
-        self.call_mode(req, None)
-    }
-
-    fn call_mode(
+    fn call(
         &mut self,
         req: &Request,
         mode: Option<RetrievalMode>,
@@ -222,8 +218,7 @@ impl Client {
             };
             match result {
                 Ok(ok) => return Ok(ok),
-                Err(err @ ClientError::Wire(_)) if attempt < self.retry.max_retries => {
-                    let _ = err;
+                Err(ClientError::Wire(_)) if attempt < self.retry.max_retries => {
                     self.retries += 1;
                     let sleep = self.retry.backoff(attempt, self.next_id);
                     if !sleep.is_zero() {
@@ -263,12 +258,39 @@ impl Client {
         Ok((id, resp))
     }
 
-    fn query(
+    /// Runs `plan` on the server. `deadline_us == 0` means "use the
+    /// server default". A k-NN plan's `k` saturates at the wire's
+    /// `u32::MAX` (any `k` at or above the row count returns every row);
+    /// its mode travels as a version-2 frame extension and the
+    /// response's stats carry the tier that actually answered
+    /// (`stats.retrieval`). A mode-less plan sends a version-1 frame.
+    pub fn query(
         &mut self,
-        req: &Request,
-        mode: Option<RetrievalMode>,
+        histogram: &Histogram,
+        plan: QueryPlan,
+        deadline_us: u64,
     ) -> Result<Outcome, ClientError> {
-        match self.call_mode(req, mode)?.1 {
+        let histogram = histogram.clone();
+        let (req, mode) = match plan {
+            QueryPlan::Knn { k, mode } => {
+                let k = u32::try_from(k).unwrap_or(u32::MAX);
+                let req = Request::Knn {
+                    k,
+                    deadline_us,
+                    histogram,
+                };
+                (req, mode)
+            }
+            QueryPlan::Range { epsilon } => {
+                let req = Request::Range {
+                    epsilon,
+                    deadline_us,
+                    histogram,
+                };
+                (req, None)
+            }
+        };
+        match self.call(&req, mode)?.1 {
             Response::Results { items, stats } => Ok(Outcome::Complete { items, stats }),
             Response::DeadlineExceeded { items, stats } => Ok(Outcome::Partial { items, stats }),
             Response::Overloaded { queue_depth, stats } => {
@@ -279,26 +301,21 @@ impl Client {
         }
     }
 
-    /// k-NN query. `deadline_us == 0` means "use the server default".
+    /// Mode-less k-NN query: [`Client::query`] on [`QueryPlan::Knn`].
     pub fn knn(
         &mut self,
         histogram: &Histogram,
         k: u32,
         deadline_us: u64,
     ) -> Result<Outcome, ClientError> {
-        self.query(
-            &Request::Knn {
-                k,
-                deadline_us,
-                histogram: histogram.clone(),
-            },
-            None,
-        )
+        let plan = QueryPlan::Knn {
+            k: k as usize,
+            mode: None,
+        };
+        self.query(histogram, plan, deadline_us)
     }
 
-    /// [`Client::knn`] on an explicit retrieval tier: the mode travels
-    /// as a version-2 frame extension and the response's stats carry
-    /// the tier that actually answered (`stats.retrieval`).
+    /// [`Client::knn`] on an explicit retrieval tier.
     pub fn knn_mode(
         &mut self,
         histogram: &Histogram,
@@ -306,36 +323,26 @@ impl Client {
         deadline_us: u64,
         mode: RetrievalMode,
     ) -> Result<Outcome, ClientError> {
-        self.query(
-            &Request::Knn {
-                k,
-                deadline_us,
-                histogram: histogram.clone(),
-            },
-            Some(mode),
-        )
+        let plan = QueryPlan::Knn {
+            k: k as usize,
+            mode: Some(mode),
+        };
+        self.query(histogram, plan, deadline_us)
     }
 
-    /// Range query. `deadline_us == 0` means "use the server default".
+    /// Range query: [`Client::query`] on [`QueryPlan::Range`].
     pub fn range(
         &mut self,
         histogram: &Histogram,
         epsilon: f64,
         deadline_us: u64,
     ) -> Result<Outcome, ClientError> {
-        self.query(
-            &Request::Range {
-                epsilon,
-                deadline_us,
-                histogram: histogram.clone(),
-            },
-            None,
-        )
+        self.query(histogram, QueryPlan::Range { epsilon }, deadline_us)
     }
 
     /// Liveness probe.
     pub fn health(&mut self) -> Result<HealthInfo, ClientError> {
-        match self.call(&Request::Health)?.1 {
+        match self.call(&Request::Health, None)?.1 {
             Response::HealthReport {
                 draining,
                 db_size,
@@ -354,7 +361,7 @@ impl Client {
 
     /// Fetches the server's metrics in Prometheus text format.
     pub fn stats(&mut self) -> Result<String, ClientError> {
-        match self.call(&Request::Stats)?.1 {
+        match self.call(&Request::Stats, None)?.1 {
             Response::StatsReport { prometheus } => Ok(prometheus),
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
             _ => Err(ClientError::UnexpectedResponse),
@@ -364,7 +371,7 @@ impl Client {
     /// Asks the server to drain and stop. The server closes the
     /// connection after acknowledging.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.call(&Request::Shutdown)?.1 {
+        match self.call(&Request::Shutdown, None)?.1 {
             Response::ShutdownStarted => Ok(()),
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
             _ => Err(ClientError::UnexpectedResponse),

@@ -22,11 +22,11 @@
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::client::{Client, ClientError, HealthInfo, Outcome};
+use crate::protocol;
 use crate::retry::{splitmix64, RetryPolicy};
-use crate::shard::{GroupReply, LatencyTracker, ShardEndpoint, ShardGroup, ShardQuery};
-use earthmover_core::deadline::Deadline;
+use crate::shard::{GroupReply, LatencyTracker, ShardEndpoint, ShardGroup};
 use earthmover_core::stats::{QueryStats, ShardProvenance};
-use earthmover_core::Histogram;
+use earthmover_core::{Histogram, QueryPlan, RetrievalMode};
 use earthmover_obs::{self as obs, names, MetricsRegistry};
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -415,72 +415,38 @@ impl Coordinator {
         &self.shared
     }
 
-    /// Cluster-wide k-NN: the best `k` of the union of per-shard top-k
-    /// answers. `deadline_us == 0` applies the configured default.
-    pub fn knn(
+    /// Runs `plan` across the cluster. k-NN keeps the best `k` of the
+    /// union of per-shard top-k answers; its mode is forwarded to every
+    /// shard leg, and the merged stats carry the tier each shard answered
+    /// with (first shard's entry wins the merge — all partials of one
+    /// query run the same mode). Range returns the union of per-shard
+    /// answers, re-sorted. `deadline_us == 0` applies the configured
+    /// default.
+    pub fn query(
         &mut self,
         histogram: &Histogram,
-        k: u32,
+        plan: QueryPlan,
         deadline_us: u64,
     ) -> Result<Outcome, CoordError> {
         let _span = obs::span!(names::COORD_REQUEST);
-        self.shared.registry.counter(&names::COORD_KNN_TOTAL).inc(1);
-        let query = ShardQuery::Knn {
-            histogram: self.validated(histogram)?,
-            k,
-            mode: None,
-        };
-        let outcome = self.scatter_gather(&query, deadline_us, Some(k));
-        Ok(outcome)
-    }
-
-    /// [`Coordinator::knn`] on an explicit retrieval tier: the mode is
-    /// forwarded to every shard leg and the merged stats carry the tier
-    /// each shard answered with (first shard's entry wins the merge —
-    /// all partials of one query run the same mode).
-    pub fn knn_mode(
-        &mut self,
-        histogram: &Histogram,
-        k: u32,
-        deadline_us: u64,
-        mode: earthmover_core::RetrievalMode,
-    ) -> Result<Outcome, CoordError> {
-        let _span = obs::span!(names::COORD_REQUEST);
-        self.shared.registry.counter(&names::COORD_KNN_TOTAL).inc(1);
-        if matches!(mode, earthmover_core::RetrievalMode::SketchOnly) {
-            self.shared
-                .registry
-                .counter(&names::SKETCH_QUERIES_TOTAL)
-                .inc(1);
+        let registry = &self.shared.registry;
+        match plan {
+            QueryPlan::Knn { mode, .. } => {
+                registry.counter(&names::COORD_KNN_TOTAL).inc(1);
+                if mode == Some(RetrievalMode::SketchOnly) {
+                    registry.counter(&names::SKETCH_QUERIES_TOTAL).inc(1);
+                }
+            }
+            QueryPlan::Range { .. } => registry.counter(&names::COORD_RANGE_TOTAL).inc(1),
         }
-        let query = ShardQuery::Knn {
-            histogram: self.validated(histogram)?,
-            k,
-            mode: Some(mode),
-        };
-        let outcome = self.scatter_gather(&query, deadline_us, Some(k));
-        Ok(outcome)
-    }
-
-    /// Cluster-wide range query: the union of per-shard answers,
-    /// re-sorted. `deadline_us == 0` applies the configured default.
-    pub fn range(
-        &mut self,
-        histogram: &Histogram,
-        epsilon: f64,
-        deadline_us: u64,
-    ) -> Result<Outcome, CoordError> {
-        let _span = obs::span!(names::COORD_REQUEST);
-        self.shared
-            .registry
-            .counter(&names::COORD_RANGE_TOTAL)
-            .inc(1);
-        let query = ShardQuery::Range {
-            histogram: self.validated(histogram)?,
-            epsilon,
-        };
-        let outcome = self.scatter_gather(&query, deadline_us, None);
-        Ok(outcome)
+        let dims = self.shared.topology.dims as usize;
+        if histogram.len() != dims {
+            return Err(CoordError::BadQuery(format!(
+                "query histogram has {} bins, cluster serves {dims}",
+                histogram.len()
+            )));
+        }
+        Ok(self.scatter_gather(histogram, plan, deadline_us))
     }
 
     /// Aggregated cluster health from the coordinator's view: total
@@ -494,35 +460,17 @@ impl Coordinator {
         }
     }
 
-    fn validated(&self, histogram: &Histogram) -> Result<Histogram, CoordError> {
-        let dims = self.shared.topology.dims as usize;
-        if histogram.len() != dims {
-            return Err(CoordError::BadQuery(format!(
-                "query histogram has {} bins, cluster serves {dims}",
-                histogram.len()
-            )));
-        }
-        Ok(histogram.clone())
-    }
-
-    /// Fans `query` out to every shard group concurrently and merges
+    /// Fans the query out to every shard group concurrently and merges
     /// the replies. Never fails: unreachable groups degrade the merged
     /// outcome to a typed partial.
     fn scatter_gather(
         &mut self,
-        query: &ShardQuery,
+        histogram: &Histogram,
+        plan: QueryPlan,
         deadline_us: u64,
-        top_k: Option<u32>,
     ) -> Outcome {
         let started = Instant::now();
-        let deadline = if deadline_us == 0 {
-            match self.shared.cfg.default_deadline {
-                Some(budget) => Deadline::within(budget),
-                None => Deadline::none(),
-            }
-        } else {
-            Deadline::within(Duration::from_micros(deadline_us))
-        };
+        let deadline = protocol::deadline_from_wire(deadline_us, self.shared.cfg.default_deadline);
         let shard_deadline = deadline.sub_budget(self.shared.cfg.sub_budget_fraction);
         self.salt_counter = self.salt_counter.wrapping_add(1);
         let salt = splitmix64(self.salt_counter);
@@ -548,7 +496,7 @@ impl Coordinator {
                 scope.spawn(move || {
                     let _scope = leg_telemetry.install();
                     let _span = obs::span!(names::SHARD_CALL, group = group.index() as u32);
-                    *slot = Some(group.call(query, shard_deadline, hedge_after, salt));
+                    *slot = Some(group.call(histogram, plan, shard_deadline, hedge_after, salt));
                 });
             }
         });
@@ -624,10 +572,10 @@ impl Coordinator {
             }
         }
         items.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        if let Some(k) = top_k {
-            items.truncate(k as usize);
+        if let QueryPlan::Knn { k, .. } = plan {
+            items.truncate(k);
         }
-        stats.db_size = usize::try_from(shard_sizes_total(&shared)).unwrap_or(usize::MAX);
+        stats.db_size = usize::try_from(shared.topology.total).unwrap_or(usize::MAX);
         stats.results = items.len() as u64;
         stats.add_stage_elapsed(COORD_STAGE, started.elapsed());
         if degraded || stats.deadline_expired {
@@ -640,10 +588,6 @@ impl Coordinator {
             Outcome::Complete { items, stats }
         }
     }
-}
-
-fn shard_sizes_total(shared: &ClusterShared) -> u64 {
-    shared.topology.total
 }
 
 #[cfg(test)]

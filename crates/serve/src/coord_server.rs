@@ -4,8 +4,8 @@
 //! Speaks exactly the `emdd` protocol — a client cannot tell a
 //! coordinator from a single node, which is what makes the healthy-
 //! cluster parity tests meaningful. It *is* the daemon runtime
-//! ([`crate::runtime`]: non-blocking acceptor, bounded connection
-//! queue, shed lane answering overflow with `Overloaded`, worker pool)
+//! (`runtime`: non-blocking acceptor, bounded connection queue, shed
+//! lane answering overflow with `Overloaded`, worker pool)
 //! with a different handler: each worker owns its own [`Coordinator`]
 //! (private shard connections) over the shared [`ClusterShared`] state
 //! (breakers, latency windows, metrics), and an extra thread keeps the
@@ -20,7 +20,7 @@
 use crate::client::Outcome;
 use crate::coord::{ClusterShared, CoordError, Coordinator};
 use crate::fleet::FleetTelemetry;
-use crate::protocol::{self, ErrorCode, Request, RequestExt, Response};
+use crate::protocol::{self, ErrorCode, Planned, Request, RequestExt, Response};
 use crate::runtime::{self, Background, Handler, Limits, Names};
 use crate::server::StopHandle;
 use earthmover_obs::{self as obs, names, MetricsRegistry, Subscriber};
@@ -266,33 +266,15 @@ fn execute(
     mode: Option<earthmover_core::RetrievalMode>,
 ) -> (Response, bool) {
     let registry = shared.cluster.registry();
-    match req {
-        Request::Knn {
-            k,
-            deadline_us,
-            histogram,
-        } => {
-            // An explicit retrieval mode fans out as-is; mode-less
-            // traffic keeps the historical exact path byte-for-byte
-            // unless the operator set a cluster-wide default tier.
-            let result = match mode.or(shared.cfg.default_mode) {
-                Some(mode) => coordinator.knn_mode(&histogram, k, deadline_us, mode),
-                None => coordinator.knn(&histogram, k, deadline_us),
-            };
-            (outcome_response(result, registry), true)
-        }
-        Request::Range {
-            epsilon,
-            deadline_us,
-            histogram,
-        } => (
-            outcome_response(
-                coordinator.range(&histogram, epsilon, deadline_us),
-                registry,
-            ),
+    match protocol::plan(&req, mode, shared.cfg.default_mode) {
+        // An explicit retrieval mode fans out as-is; mode-less traffic
+        // keeps the historical exact path byte-for-byte unless the
+        // operator set a cluster-wide default tier.
+        Planned::Query(histogram, plan, deadline_us) => (
+            outcome_response(coordinator.query(histogram, plan, deadline_us), registry),
             true,
         ),
-        Request::Health => {
+        Planned::Health => {
             let info = coordinator.health();
             (
                 Response::HealthReport {
@@ -304,7 +286,7 @@ fn execute(
                 true,
             )
         }
-        Request::Stats => (
+        Planned::Stats => (
             Response::StatsReport {
                 // The coordinator's own registry followed by every
                 // shard's scraped series with per-shard labels — one
@@ -313,7 +295,7 @@ fn execute(
             },
             true,
         ),
-        Request::Shutdown => {
+        Planned::Shutdown => {
             obs::event!(names::COORD_DRAIN_BEGIN);
             shared.stop.stop();
             (Response::ShutdownStarted, false)

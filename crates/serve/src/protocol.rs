@@ -33,7 +33,7 @@
 
 use earthmover_core::stats::{QueryStats, ShardProvenance};
 use earthmover_core::storage;
-use earthmover_core::{Histogram, HistogramDb, RetrievalInfo, RetrievalMode};
+use earthmover_core::{Deadline, Histogram, HistogramDb, QueryPlan, RetrievalInfo, RetrievalMode};
 use earthmover_obs::TraceContext;
 use std::io::{self, Read, Write};
 use std::time::Duration;
@@ -520,6 +520,73 @@ pub struct RequestExt {
     pub trace: Option<TraceContext>,
     /// Requested retrieval tier; `None` means the server's default.
     pub mode: Option<RetrievalMode>,
+}
+
+/// A decoded request as a front end runs it: a planned query or one of
+/// the three control requests.
+pub(crate) enum Planned<'a> {
+    /// A k-NN or range query: its histogram, its plan and its wire
+    /// `deadline_us`.
+    Query(&'a Histogram, QueryPlan, u64),
+    Health,
+    Stats,
+    Shutdown,
+}
+
+/// The one place a decoded request becomes a [`QueryPlan`]. `mode` is the
+/// request's mode extension; a k-NN request without one takes
+/// `default_mode`, and a range query ignores both (it is always exact).
+pub(crate) fn plan(
+    req: &Request,
+    mode: Option<RetrievalMode>,
+    default_mode: Option<RetrievalMode>,
+) -> Planned<'_> {
+    match req {
+        Request::Knn {
+            k,
+            deadline_us,
+            histogram,
+        } => {
+            let plan = QueryPlan::Knn {
+                k: usize::try_from(*k).unwrap_or(usize::MAX),
+                mode: mode.or(default_mode),
+            };
+            Planned::Query(histogram, plan, *deadline_us)
+        }
+        Request::Range {
+            epsilon,
+            deadline_us,
+            histogram,
+        } => Planned::Query(
+            histogram,
+            QueryPlan::Range { epsilon: *epsilon },
+            *deadline_us,
+        ),
+        Request::Health => Planned::Health,
+        Request::Stats => Planned::Stats,
+        Request::Shutdown => Planned::Shutdown,
+    }
+}
+
+/// The wire's `deadline_us` as a [`Deadline`]: `0` means the receiver's
+/// `default` budget (unbounded when that is `None`).
+pub(crate) fn deadline_from_wire(deadline_us: u64, default: Option<Duration>) -> Deadline {
+    match (deadline_us, default) {
+        (0, Some(budget)) => Deadline::within(budget),
+        (0, None) => Deadline::none(),
+        (us, _) => Deadline::within(Duration::from_micros(us)),
+    }
+}
+
+/// A [`Deadline`] as the wire's `deadline_us`, the inverse of
+/// [`deadline_from_wire`]. `0` would mean "receiver default", so a
+/// bounded-but-expired deadline is clamped to 1 µs: the receiver answers
+/// with an immediate typed partial rather than running unbounded.
+pub(crate) fn deadline_to_wire(deadline: Deadline) -> u64 {
+    match deadline.remaining() {
+        None => 0,
+        Some(rem) => u64::try_from(rem.as_micros()).unwrap_or(u64::MAX).max(1),
+    }
 }
 
 /// Consumes the rest of the payload as extension blocks. Unknown tags

@@ -236,7 +236,7 @@ impl<H: Handler> Runtime<'_, H> {
         let queue_wait = registry.histogram(&H::NAMES.queue_wait_seconds);
         let mut worker = self.handler.worker();
         loop {
-            let (conn, len) = self.queue.pop(Duration::from_millis(50));
+            let (conn, len) = self.queue.pop(Duration::from_millis(50), self.stop);
             depth_gauge.set(len as f64);
             match conn {
                 Some((stream, queued_at)) => {
@@ -344,18 +344,23 @@ impl ConnQueue {
         Ok(len)
     }
 
-    /// Pops the next connection, waiting up to `wait`; `None` on timeout.
-    fn pop(&self, wait: Duration) -> (Option<(TcpStream, Instant)>, usize) {
+    /// Pops the next connection, waiting up to `wait` while the queue is
+    /// empty and `stop` is unset; `None` on timeout or stop.
+    fn pop(&self, wait: Duration, stop: &StopHandle) -> (Option<(TcpStream, Instant)>, usize) {
         let q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let (mut q, _) = self
             .ready
-            .wait_timeout_while(q, wait, |q| q.is_empty())
+            .wait_timeout_while(q, wait, |q| q.is_empty() && !stop.is_stopped())
             .unwrap_or_else(|e| e.into_inner());
         let conn = q.pop_front();
         (conn, q.len())
     }
 
+    /// Wakes every waiting `pop` to re-check the stop flag. Notifying
+    /// under the mutex means a `pop` that saw the flag unset is already
+    /// waiting, so the wake cannot be lost.
     fn wake_all(&self) {
+        let _q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         self.ready.notify_all();
     }
 }
@@ -406,5 +411,31 @@ impl ShedLane {
     fn close(&self) {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).1 = true;
         self.ready.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stop_wakes_an_idle_pop_at_once() {
+        let queue = ConnQueue::new(4);
+        let stop = StopHandle::default();
+        let wait = Duration::from_secs(10);
+        let waited = std::thread::scope(|scope| {
+            let popper = scope.spawn(|| {
+                let started = Instant::now();
+                let (conn, _) = queue.pop(wait, &stop);
+                (conn.is_none(), started.elapsed())
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            stop.stop();
+            queue.wake_all();
+            popper.join()
+        });
+        let (empty, elapsed) = waited.expect("popper thread");
+        assert!(empty, "nothing was queued");
+        assert!(elapsed < wait / 4, "pop slept {elapsed:?} after the stop");
     }
 }

@@ -1,7 +1,7 @@
-//! The single-node query daemon: the shared daemon runtime
-//! ([`crate::runtime`] — acceptor, bounded queue, shed lane, worker
-//! pool, keep-alive loop and drain, DESIGN.md §12) with a handler that
-//! runs each decoded request against a [`QueryEngine`].
+//! The single-node query daemon: the shared, crate-private daemon
+//! runtime (`runtime` — acceptor, bounded queue, shed lane, worker pool,
+//! keep-alive loop and drain, DESIGN.md §12) with a handler that runs
+//! each decoded request against a [`QueryEngine`].
 //!
 //! Shutdown is cooperative: a [`Request::Shutdown`] frame or the
 //! process's stop flag (signal handler) makes the acceptor stop
@@ -9,12 +9,13 @@
 //! their connections after the current response, and the run returns
 //! after flushing telemetry.
 
-use crate::protocol::{ErrorCode, Request, RequestExt, Response, DEFAULT_MAX_FRAME_LEN};
+use crate::protocol::{
+    self, ErrorCode, Planned, Request, RequestExt, Response, DEFAULT_MAX_FRAME_LEN,
+};
 use crate::runtime::{self, Handler, Limits, Names};
-use earthmover_core::deadline::Deadline;
 use earthmover_core::ground::BinGrid;
 use earthmover_core::pipeline::QueryEngine;
-use earthmover_core::{HistogramDb, RetrievalMode, SketchTier};
+use earthmover_core::{HistogramDb, QueryPlan, RetrievalMode, SketchTier};
 use earthmover_obs::{self as obs, names, MetricsRegistry, Subscriber};
 use std::io;
 use std::net::{TcpListener, ToSocketAddrs};
@@ -235,51 +236,27 @@ impl Handler for Shared<'_> {
 
 /// Runs one decoded request against the engine. Returns the response
 /// and whether the connection may continue. `mode` is the request's
-/// retrieval-mode extension; range queries ignore it (always exact).
+/// retrieval-mode extension.
 fn execute(shared: &Shared<'_>, req: Request, mode: Option<RetrievalMode>) -> (Response, bool) {
-    match req {
-        Request::Knn {
-            k,
-            deadline_us,
-            histogram,
-        } => {
+    match protocol::plan(&req, mode, shared.cfg.default_mode) {
+        Planned::Query(histogram, plan, deadline_us) => {
             if histogram.len() != shared.db.dims() {
                 return (arity_error(shared, histogram.len()), true);
             }
-            let deadline = request_deadline(shared, deadline_us);
-            let result = match mode.or(shared.cfg.default_mode) {
-                Some(mode) => {
-                    if matches!(mode, RetrievalMode::SketchOnly) {
-                        shared.registry.counter(&names::SKETCH_QUERIES_TOTAL).inc(1);
-                    }
-                    shared
-                        .engine
-                        .knn_mode_within(&histogram, k as usize, mode, deadline)
-                }
-                // Mode-less requests keep the historical path: exact
-                // answers whose responses stay byte-identical to v1.
-                None => shared.engine.knn_within(&histogram, k as usize, deadline),
-            };
-            match result {
+            if let QueryPlan::Knn {
+                mode: Some(RetrievalMode::SketchOnly),
+                ..
+            } = plan
+            {
+                shared.registry.counter(&names::SKETCH_QUERIES_TOTAL).inc(1);
+            }
+            let deadline = protocol::deadline_from_wire(deadline_us, shared.cfg.default_deadline);
+            match shared.engine.query(histogram, plan, deadline) {
                 Ok(result) => (query_response(result), true),
                 Err(e) => (internal_error(shared, &e.to_string()), true),
             }
         }
-        Request::Range {
-            epsilon,
-            deadline_us,
-            histogram,
-        } => {
-            if histogram.len() != shared.db.dims() {
-                return (arity_error(shared, histogram.len()), true);
-            }
-            let deadline = request_deadline(shared, deadline_us);
-            match shared.engine.range_within(&histogram, epsilon, deadline) {
-                Ok(result) => (query_response(result), true),
-                Err(e) => (internal_error(shared, &e.to_string()), true),
-            }
-        }
-        Request::Health => (
+        Planned::Health => (
             Response::HealthReport {
                 draining: shared.stop.is_stopped(),
                 db_size: shared.db.len() as u64,
@@ -288,7 +265,7 @@ fn execute(shared: &Shared<'_>, req: Request, mode: Option<RetrievalMode>) -> (R
             },
             true,
         ),
-        Request::Stats => {
+        Planned::Stats => {
             refresh_storage_gauges(shared);
             (
                 Response::StatsReport {
@@ -297,7 +274,7 @@ fn execute(shared: &Shared<'_>, req: Request, mode: Option<RetrievalMode>) -> (R
                 true,
             )
         }
-        Request::Shutdown => {
+        Planned::Shutdown => {
             obs::event!(names::SERVE_DRAIN_BEGIN);
             shared.stop.stop();
             (Response::ShutdownStarted, false)
@@ -336,17 +313,6 @@ fn refresh_storage_gauges(shared: &Shared<'_>) {
     registry
         .gauge(&names::FILTER_CACHE_ENTRIES)
         .set(cache.entries as f64);
-}
-
-fn request_deadline(shared: &Shared<'_>, deadline_us: u64) -> Deadline {
-    if deadline_us == 0 {
-        match shared.cfg.default_deadline {
-            Some(budget) => Deadline::within(budget),
-            None => Deadline::none(),
-        }
-    } else {
-        Deadline::within(Duration::from_micros(deadline_us))
-    }
 }
 
 /// Wraps an engine result as either a complete or a typed-partial

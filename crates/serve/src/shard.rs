@@ -15,37 +15,14 @@
 
 use crate::breaker::{Admission, CircuitBreaker};
 use crate::client::{Client, ClientError, Outcome};
+use crate::protocol;
 use crate::retry::RetryPolicy;
 use earthmover_core::deadline::Deadline;
-use earthmover_core::Histogram;
+use earthmover_core::{Histogram, QueryPlan};
 use earthmover_obs::{self as obs, names, MetricsRegistry};
 use std::net::SocketAddr;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// One query as the coordinator fans it out (the per-shard deadline is
-/// carried separately, as a [`Deadline`]).
-#[derive(Debug, Clone)]
-pub enum ShardQuery {
-    /// k-nearest-neighbour sub-query.
-    Knn {
-        /// The (normalized) query histogram.
-        histogram: Histogram,
-        /// Neighbours wanted *per shard* (the global k: each shard must
-        /// over-answer so the merged top-k is exact).
-        k: u32,
-        /// Retrieval tier forwarded to the shard; `None` keeps the
-        /// shard's mode-less exact path (byte-identical v1 frames).
-        mode: Option<earthmover_core::RetrievalMode>,
-    },
-    /// Range sub-query.
-    Range {
-        /// The (normalized) query histogram.
-        histogram: Histogram,
-        /// Inclusive EMD threshold.
-        epsilon: f64,
-    },
-}
 
 /// Why a call through a [`ShardEndpoint`] did not produce an answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,7 +89,12 @@ impl ShardEndpoint {
     }
 
     /// One attempt: connect if needed, issue the query, classify.
-    fn attempt(&mut self, query: &ShardQuery, deadline: Deadline) -> Result<Outcome, ClientError> {
+    fn attempt(
+        &mut self,
+        histogram: &Histogram,
+        plan: QueryPlan,
+        deadline: Deadline,
+    ) -> Result<Outcome, ClientError> {
         if self.client.is_none() {
             self.client = Some(Client::connect(self.addr, self.io_timeout)?);
         }
@@ -130,22 +112,7 @@ impl ShardEndpoint {
             None => self.io_timeout,
         };
         client.set_io_timeout(attempt_timeout)?;
-        let wire_deadline_us = wire_deadline_us(deadline);
-        match query {
-            ShardQuery::Knn {
-                histogram,
-                k,
-                mode: Some(mode),
-            } => client.knn_mode(histogram, *k, wire_deadline_us, *mode),
-            ShardQuery::Knn {
-                histogram,
-                k,
-                mode: None,
-            } => client.knn(histogram, *k, wire_deadline_us),
-            ShardQuery::Range { histogram, epsilon } => {
-                client.range(histogram, *epsilon, wire_deadline_us)
-            }
-        }
+        client.query(histogram, plan, protocol::deadline_to_wire(deadline))
     }
 
     /// Calls the endpoint with retry, reconnect, backoff, and the
@@ -157,7 +124,8 @@ impl ShardEndpoint {
     /// (pass the request id or shard index).
     pub fn call(
         &mut self,
-        query: &ShardQuery,
+        histogram: &Histogram,
+        plan: QueryPlan,
         deadline: Deadline,
         salt: u64,
     ) -> Result<(Outcome, Duration, u32), CallFailure> {
@@ -178,7 +146,7 @@ impl ShardEndpoint {
             }
             self.registry.counter(&names::SHARD_CALLS_TOTAL).inc(1);
             let started = Instant::now();
-            match self.attempt(query, deadline) {
+            match self.attempt(histogram, plan, deadline) {
                 Ok(Outcome::Overloaded { .. }) => {
                     // The shard's admission control shed us: it is alive
                     // (no breaker failure) but retrying immediately would
@@ -227,17 +195,6 @@ impl ShardEndpoint {
         } else {
             last_failure
         }))
-    }
-}
-
-/// Converts a per-shard [`Deadline`] to the wire's `deadline_us` field.
-/// `0` means "server default" on the wire, so a bounded-but-expired
-/// deadline is clamped to 1 µs (the shard answers with an immediate
-/// typed partial rather than running unbounded).
-fn wire_deadline_us(deadline: Deadline) -> u64 {
-    match deadline.remaining() {
-        None => 0,
-        Some(rem) => u64::try_from(rem.as_micros()).unwrap_or(u64::MAX).max(1),
     }
 }
 
@@ -349,80 +306,75 @@ impl ShardGroup {
     /// primary has been silent that long.
     pub fn call(
         &mut self,
-        query: &ShardQuery,
+        histogram: &Histogram,
+        plan: QueryPlan,
         deadline: Deadline,
         hedge_after: Option<Duration>,
         salt: u64,
     ) -> GroupReply {
         let salt = salt ^ (self.index as u64).wrapping_mul(0x9E37);
-        match (&mut self.replica, hedge_after) {
-            (None, _) => match self.primary.call(query, deadline, salt) {
-                Ok((outcome, latency, retries)) => GroupReply::Answered {
-                    outcome: Box::new(outcome),
-                    from_replica: false,
-                    latency,
-                    endpoint: self.primary.addr,
-                    retries,
-                    hedge_fired: false,
-                },
-                Err(e) => GroupReply::Unavailable {
-                    reason: format!("primary {}: {e}", self.primary.addr),
-                },
-            },
-            (Some(replica), None) => {
-                // Sequential failover, no hedging.
-                match self.primary.call(query, deadline, salt) {
-                    Ok((outcome, latency, retries)) => GroupReply::Answered {
-                        outcome: Box::new(outcome),
-                        from_replica: false,
-                        latency,
-                        endpoint: self.primary.addr,
-                        retries,
-                        hedge_fired: false,
-                    },
-                    Err(primary_err) => {
-                        self.registry.counter(&names::SHARD_FAILOVERS_TOTAL).inc(1);
-                        obs::event!(names::SHARD_FAILOVER);
-                        match replica.call(query, deadline, salt ^ 1) {
-                            Ok((outcome, latency, retries)) => GroupReply::Answered {
-                                outcome: Box::new(outcome),
-                                from_replica: true,
-                                latency,
-                                endpoint: replica.addr,
-                                retries,
-                                hedge_fired: false,
-                            },
-                            Err(replica_err) => GroupReply::Unavailable {
-                                reason: format!(
-                                    "primary {}: {primary_err}; replica {}: {replica_err}",
-                                    self.primary.addr, replica.addr
-                                ),
-                            },
-                        }
-                    }
-                }
-            }
-            (Some(replica), Some(hedge_after)) => hedged_call(
+        if let (Some(replica), Some(hedge_after)) = (&mut self.replica, hedge_after) {
+            return hedged_call(
                 &mut self.primary,
                 replica,
                 &self.registry,
-                query,
+                histogram,
+                plan,
                 deadline,
                 hedge_after,
                 salt,
-            ),
+            );
         }
+        let primary_failure = match self.primary.call(histogram, plan, deadline, salt) {
+            Ok(answer) => return answered(answer, false, self.primary.addr),
+            Err(e) => format!("primary {}: {e}", self.primary.addr),
+        };
+        let Some(replica) = &mut self.replica else {
+            return GroupReply::Unavailable {
+                reason: primary_failure,
+            };
+        };
+        // Sequential failover, no hedging.
+        self.registry.counter(&names::SHARD_FAILOVERS_TOTAL).inc(1);
+        obs::event!(names::SHARD_FAILOVER);
+        match replica.call(histogram, plan, deadline, salt ^ 1) {
+            Ok(answer) => answered(answer, true, replica.addr),
+            Err(e) => GroupReply::Unavailable {
+                reason: format!("{primary_failure}; replica {}: {e}", replica.addr),
+            },
+        }
+    }
+}
+
+/// An unhedged call's answer as the group's reply.
+fn answered(
+    (outcome, latency, retries): (Outcome, Duration, u32),
+    from_replica: bool,
+    endpoint: SocketAddr,
+) -> GroupReply {
+    GroupReply::Answered {
+        outcome: Box::new(outcome),
+        from_replica,
+        latency,
+        endpoint,
+        retries,
+        hedge_fired: false,
     }
 }
 
 /// Races the primary against a delayed replica duplicate; first answer
 /// wins. A fast primary *failure* dispatches the replica immediately
 /// (that is failover, not a hedge).
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the two endpoints, the query and the hedge timing are all per call"
+)]
 fn hedged_call(
     primary: &mut ShardEndpoint,
     replica: &mut ShardEndpoint,
     registry: &Arc<MetricsRegistry>,
-    query: &ShardQuery,
+    histogram: &Histogram,
+    plan: QueryPlan,
     deadline: Deadline,
     hedge_after: Duration,
     salt: u64,
@@ -441,7 +393,7 @@ fn hedged_call(
         let primary_telemetry = telemetry.clone();
         scope.spawn(move || {
             let _scope = primary_telemetry.install();
-            let r = primary.call(query, deadline, salt);
+            let r = primary.call(histogram, plan, deadline, salt);
             let _ = tx_primary.send((false, r));
         });
         let mut replica_slot = Some(replica);
@@ -484,20 +436,11 @@ fn hedged_call(
                     };
                     let role = if from_replica { "replica" } else { "primary" };
                     failures.push(format!("{role} {addr}: {e}"));
-                    if let Some(replica) = replica_slot.take() {
+                    if replica_slot.is_some() {
                         // Primary failed before the hedge timer: classic
                         // failover.
                         registry.counter(&names::SHARD_FAILOVERS_TOTAL).inc(1);
                         obs::event!(names::SHARD_FAILOVER);
-                        if let Some(tx) = tx_replica.take() {
-                            outstanding += 1;
-                            let leg_telemetry = telemetry.clone();
-                            scope.spawn(move || {
-                                let _scope = leg_telemetry.install();
-                                let r = replica.call(query, deadline, salt ^ 1);
-                                let _ = tx.send((true, r));
-                            });
-                        }
                     } else if outstanding == 0 {
                         break GroupReply::Unavailable {
                             reason: failures.join("; "),
@@ -505,21 +448,11 @@ fn hedged_call(
                     }
                 }
                 Err(None) => {
-                    // Hedge timer fired with the primary still silent.
-                    if let Some(replica) = replica_slot.take() {
-                        registry.counter(&names::SHARD_HEDGES_TOTAL).inc(1);
-                        obs::event!(names::SHARD_HEDGE);
-                        hedge_fired = true;
-                        if let Some(tx) = tx_replica.take() {
-                            outstanding += 1;
-                            let leg_telemetry = telemetry.clone();
-                            scope.spawn(move || {
-                                let _scope = leg_telemetry.install();
-                                let r = replica.call(query, deadline, salt ^ 1);
-                                let _ = tx.send((true, r));
-                            });
-                        }
-                    }
+                    // Hedge timer fired with the primary still silent (the
+                    // timer only runs while the replica waits).
+                    registry.counter(&names::SHARD_HEDGES_TOTAL).inc(1);
+                    obs::event!(names::SHARD_HEDGE);
+                    hedge_fired = true;
                 }
                 Err(Some(())) => {
                     // All senders gone without a success.
@@ -531,6 +464,17 @@ fn hedged_call(
                         },
                     };
                 }
+            }
+            // The race goes on. If the replica still waits, this event was
+            // the primary's failure or the hedge timer: dispatch it.
+            if let (Some(replica), Some(tx)) = (replica_slot.take(), tx_replica.take()) {
+                outstanding += 1;
+                let leg_telemetry = telemetry.clone();
+                scope.spawn(move || {
+                    let _scope = leg_telemetry.install();
+                    let r = replica.call(histogram, plan, deadline, salt ^ 1);
+                    let _ = tx.send((true, r));
+                });
             }
         }
     });
@@ -566,19 +510,17 @@ mod tests {
         addr
     }
 
-    fn knn_query() -> ShardQuery {
-        ShardQuery::Knn {
-            histogram: Histogram::new(vec![1.0, 2.0, 3.0, 4.0]).expect("histogram"),
-            k: 3,
-            mode: None,
-        }
+    fn histogram() -> Histogram {
+        Histogram::new(vec![1.0, 2.0, 3.0, 4.0]).expect("histogram")
     }
+
+    const KNN: QueryPlan = QueryPlan::Knn { k: 3, mode: None };
 
     #[test]
     fn dead_endpoint_exhausts_retries_with_typed_failure() {
         let mut ep = endpoint(dead_addr(), 2);
         let registry = Arc::clone(&ep.registry);
-        let got = ep.call(&knn_query(), Deadline::none(), 0);
+        let got = ep.call(&histogram(), KNN, Deadline::none(), 0);
         assert!(matches!(got, Err(CallFailure::Exhausted(_))), "{got:?}");
         assert_eq!(registry.counter(&names::SHARD_RETRIES_TOTAL).get(), 2);
         assert_eq!(registry.counter(&names::SHARD_CALLS_TOTAL).get(), 3);
@@ -600,14 +542,14 @@ mod tests {
             Arc::clone(&registry),
         );
         assert!(matches!(
-            ep.call(&knn_query(), Deadline::none(), 0),
+            ep.call(&histogram(), KNN, Deadline::none(), 0),
             Err(CallFailure::Exhausted(_))
         ));
         // The first failure tripped the breaker; the second call is
         // rejected without any connect attempt.
         let calls_before = registry.counter(&names::SHARD_CALLS_TOTAL).get();
         assert!(matches!(
-            ep.call(&knn_query(), Deadline::none(), 0),
+            ep.call(&histogram(), KNN, Deadline::none(), 0),
             Err(CallFailure::BreakerOpen)
         ));
         assert_eq!(
@@ -628,7 +570,7 @@ mod tests {
         let registry = Arc::new(MetricsRegistry::new());
         let mut group = ShardGroup::new(1, endpoint(dead_addr(), 0), None, Arc::clone(&registry));
         let GroupReply::Unavailable { reason } =
-            group.call(&knn_query(), Deadline::none(), None, 0)
+            group.call(&histogram(), KNN, Deadline::none(), None, 0)
         else {
             panic!("dead group must be unavailable");
         };

@@ -5,7 +5,7 @@
 
 use earthmover_core::ground::BinGrid;
 use earthmover_core::pipeline::QueryEngine;
-use earthmover_core::HistogramDb;
+use earthmover_core::{HistogramDb, QueryPlan};
 use earthmover_imaging::corpus::{CorpusConfig, SyntheticCorpus};
 use earthmover_obs::names;
 use earthmover_serve::{
@@ -14,6 +14,10 @@ use earthmover_serve::{
 };
 use std::sync::Arc;
 use std::time::Duration;
+
+fn knn(k: usize) -> QueryPlan {
+    QueryPlan::Knn { k, mode: None }
+}
 
 const SHARDS: usize = 3;
 
@@ -113,7 +117,7 @@ fn healthy_cluster_matches_single_node_bit_for_bit() {
         for qid in [0usize, 7, 131] {
             let q = db.get(qid).to_histogram();
 
-            let outcome = coordinator.knn(&q, 10, 0).expect("knn");
+            let outcome = coordinator.query(&q, knn(10), 0).expect("knn");
             let Outcome::Complete { items, stats } = outcome else {
                 panic!("healthy cluster must answer Complete, got {outcome:?}");
             };
@@ -129,7 +133,9 @@ fn healthy_cluster_matches_single_node_bit_for_bit() {
             assert_eq!(stats.results, 10);
             assert!(!stats.deadline_expired);
 
-            let outcome = coordinator.range(&q, 0.15, 0).expect("range");
+            let outcome = coordinator
+                .query(&q, QueryPlan::Range { epsilon: 0.15 }, 0)
+                .expect("range");
             let Outcome::Complete { items, .. } = outcome else {
                 panic!("healthy cluster must answer range Complete, got {outcome:?}");
             };
@@ -155,7 +161,8 @@ fn dead_group_downgrades_to_typed_partial_with_note() {
 
         let mut coordinator = Coordinator::new(Arc::clone(&shared));
         let q = db.get(3).to_histogram();
-        let Outcome::Partial { items, stats } = coordinator.knn(&q, 10, 0).expect("knn") else {
+        let Outcome::Partial { items, stats } = coordinator.query(&q, knn(10), 0).expect("knn")
+        else {
             panic!("a dead shard group must downgrade to Partial, not error");
         };
         assert!(
@@ -203,7 +210,7 @@ fn replica_failover_keeps_answers_complete() {
         let mut coordinator = Coordinator::new(Arc::clone(&shared));
         let engine = QueryEngine::builder(&db, &grid).build();
         let q = db.get(11).to_histogram();
-        let outcome = coordinator.knn(&q, 10, 0).expect("knn");
+        let outcome = coordinator.query(&q, knn(10), 0).expect("knn");
         let Outcome::Complete { items, .. } = outcome else {
             panic!("failover to the replica must keep the answer Complete, got {outcome:?}");
         };

@@ -5,7 +5,7 @@
 //! (exact parity with querying the daemon directly).
 
 use earthmover_core::ground::BinGrid;
-use earthmover_core::HistogramDb;
+use earthmover_core::{HistogramDb, QueryPlan};
 use earthmover_imaging::corpus::{CorpusConfig, SyntheticCorpus};
 use earthmover_obs::names;
 use earthmover_serve::{
@@ -15,6 +15,10 @@ use earthmover_serve::{
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+fn knn(k: usize) -> QueryPlan {
+    QueryPlan::Knn { k, mode: None }
+}
 
 fn corpus_db(count: usize) -> (BinGrid, HistogramDb) {
     let grid = BinGrid::new(vec![4, 4, 4]);
@@ -113,7 +117,9 @@ fn every_fault_class_yields_typed_partial_with_note() {
                 let q = db.get(5).to_histogram();
                 // 250 ms budget: long enough for a healthy answer, short
                 // enough that a stalled connection blows it.
-                let outcome = coordinator.knn(&q, 5, 250_000).expect("never a hard error");
+                let outcome = coordinator
+                    .query(&q, knn(5), 250_000)
+                    .expect("never a hard error");
                 let Outcome::Partial { items, stats } = outcome else {
                     panic!("{fault:?} must downgrade to Partial, got a different outcome");
                 };
@@ -142,7 +148,7 @@ fn healthy_proxy_is_invisible() {
         1,
         |coordinator, _shared, _proxy, db| {
             let q = db.get(9).to_histogram();
-            let outcome = coordinator.knn(&q, 10, 0).expect("knn");
+            let outcome = coordinator.query(&q, knn(10), 0).expect("knn");
             let Outcome::Complete { items, stats } = outcome else {
                 panic!("healthy proxy must answer Complete, got {outcome:?}");
             };
@@ -166,7 +172,7 @@ fn transient_fault_recovers_via_retry() {
     ]);
     with_faulty_cluster(schedule, 2, |coordinator, shared, proxy, db| {
         let q = db.get(2).to_histogram();
-        let outcome = coordinator.knn(&q, 5, 0).expect("knn");
+        let outcome = coordinator.query(&q, knn(5), 0).expect("knn");
         let Outcome::Complete { items, .. } = outcome else {
             panic!("the retry must recover the answer, got {outcome:?}");
         };
@@ -188,7 +194,7 @@ fn repeated_failures_open_the_breaker_and_reject_fast() {
             let q = db.get(0).to_histogram();
             // 4 attempts, all refused: failures 1..3 trip the breaker,
             // attempt 4 is rejected without touching the network.
-            let outcome = coordinator.knn(&q, 5, 0).expect("typed partial");
+            let outcome = coordinator.query(&q, knn(5), 0).expect("typed partial");
             assert!(matches!(outcome, Outcome::Partial { .. }));
             assert_eq!(
                 shared
@@ -210,7 +216,7 @@ fn repeated_failures_open_the_breaker_and_reject_fast() {
             // the proxy and the answer is immediate.
             let refused_before = proxy.injected(FaultClass::Refuse);
             let started = Instant::now();
-            let outcome = coordinator.knn(&q, 5, 0).expect("typed partial");
+            let outcome = coordinator.query(&q, knn(5), 0).expect("typed partial");
             assert!(matches!(outcome, Outcome::Partial { .. }));
             assert!(
                 started.elapsed() < Duration::from_millis(200),

@@ -8,7 +8,7 @@
 use earthmover_core::deadline::DEADLINE_NOTE;
 use earthmover_core::ground::BinGrid;
 use earthmover_core::pipeline::QueryEngine;
-use earthmover_core::{HistogramDb, RetrievalMode, SketchTier};
+use earthmover_core::{Deadline, HistogramDb, QueryPlan, RetrievalInfo, RetrievalMode, SketchTier};
 use earthmover_imaging::corpus::{CorpusConfig, SyntheticCorpus};
 use earthmover_obs::names;
 use earthmover_serve::protocol::OVERLOAD_NOTE;
@@ -186,16 +186,66 @@ fn k_beyond_the_database_returns_every_row() {
             wait_healthy(addr);
             let mut client = Client::connect(addr, Duration::from_secs(30)).unwrap();
             for mode in modes {
-                let outcome = match mode {
-                    None => client.knn(&q, u32::MAX, 0),
-                    Some(mode) => client.knn_mode(&q, u32::MAX, 0, mode),
+                // `k` saturates to the wire's `u32::MAX`.
+                let plan = QueryPlan::Knn {
+                    k: usize::MAX,
+                    mode,
                 };
-                let Outcome::Complete { items, .. } = outcome.unwrap() else {
+                let Outcome::Complete { items, .. } = client.query(&q, plan, 0).unwrap() else {
                     panic!("{front:?} {mode:?}: expected a complete answer");
                 };
                 assert_eq!(items.len(), db.len(), "{front:?} {mode:?}");
             }
             assert_eq!(client.health().unwrap().db_size, db.len() as u64);
+        });
+    }
+}
+
+/// Every plan crosses the wire, and the coordinator's merge, with its
+/// retrieval tier intact: each front end's answer matches a local
+/// [`QueryEngine::query`] on the same plan, and `stats.retrieval` says
+/// which tier answered — `None` for a mode-less plan, not `Some(Exact)`.
+#[test]
+fn retrieval_mode_travels_end_to_end() {
+    let (grid, db) = corpus_db(400);
+    let q = db.get(7).to_histogram();
+    let engine = QueryEngine::builder(&db, &grid).build();
+    let knn = |mode| QueryPlan::Knn { k: 10, mode };
+    let info = |mode, recall| Some(RetrievalInfo { mode, recall });
+    let kth = engine.query(&q, knn(None), Deadline::none()).unwrap().items[9].1;
+    let (exact, approximate) = (
+        RetrievalMode::Exact,
+        RetrievalMode::Approximate { epsilon: 0.25 },
+    );
+    let plans = [
+        (knn(None), None),
+        (knn(Some(exact)), info(exact, 1.0)),
+        (knn(Some(approximate)), info(approximate, 1.0 / 1.25)),
+        (QueryPlan::Range { epsilon: 0.15 }, None),
+    ];
+    for front in FRONT_ENDS {
+        with_front_end(front, &db, &grid, ServerConfig::default(), |addr| {
+            wait_healthy(addr);
+            let mut client = Client::connect(addr, Duration::from_secs(30)).unwrap();
+            for (plan, retrieval) in plans {
+                let Outcome::Complete { items, stats } = client.query(&q, plan, 0).unwrap() else {
+                    panic!("{front:?} {plan:?}: expected a complete answer");
+                };
+                let local = engine.query(&q, plan, Deadline::none()).unwrap();
+                assert_eq!(stats.retrieval, retrieval, "{front:?} {plan:?}");
+                assert_eq!(local.stats.retrieval, retrieval, "local {plan:?}");
+                assert_eq!(items.len(), local.items.len(), "{front:?} {plan:?}");
+                if retrieval.is_some_and(|info| info.mode == approximate) {
+                    for (_, d) in &items {
+                        assert!(*d <= 1.25 * kth + 1e-9, "{front:?}: {d} vs kth {kth}");
+                    }
+                    continue;
+                }
+                for ((got_id, got), (want_id, want)) in items.iter().zip(&local.items) {
+                    assert_eq!(*got_id, *want_id as u64, "{front:?} {plan:?}");
+                    assert!((got - want).abs() <= 1e-9, "{front:?} {plan:?}");
+                }
+            }
         });
     }
 }

@@ -7,7 +7,7 @@
 //! and serve the per-shard-labeled fleet metrics view.
 
 use earthmover_core::ground::BinGrid;
-use earthmover_core::HistogramDb;
+use earthmover_core::{HistogramDb, QueryPlan};
 use earthmover_imaging::corpus::{CorpusConfig, SyntheticCorpus};
 use earthmover_obs::{self as obs, names};
 use earthmover_serve::coord_server::{CoordServer, CoordServerConfig};
@@ -17,6 +17,10 @@ use earthmover_serve::{
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+fn knn(k: usize) -> QueryPlan {
+    QueryPlan::Knn { k, mode: None }
+}
 
 const SHARDS: usize = 3;
 
@@ -124,7 +128,7 @@ fn one_knn_query_produces_one_linked_trace_across_the_cluster() {
         let _trace = obs::set_trace(Some(context));
 
         let q = db.get(5).to_histogram();
-        let outcome = coordinator.knn(&q, 10, 0).expect("knn");
+        let outcome = coordinator.query(&q, knn(10), 0).expect("knn");
         let Outcome::Complete { items, stats } = outcome else {
             panic!("healthy cluster must answer Complete");
         };
@@ -230,7 +234,7 @@ fn untraced_queries_leave_shard_spans_unlinked() {
         // No trace context set: frames stay version-1 on the wire and
         // nothing downstream invents linkage.
         let q = db.get(2).to_histogram();
-        coordinator.knn(&q, 5, 0).expect("knn");
+        coordinator.query(&q, knn(5), 0).expect("knn");
         let records = wait_for_records(&recorder, Duration::from_secs(5), |records| {
             records
                 .iter()

@@ -14,10 +14,10 @@
 //! * [`ColumnWriter`] → [`ColumnStore`] — the `.emdc` column file:
 //!   histogram rows in fixed-row blocks at deterministic page ranges,
 //!   re-validated (finite, non-negative, unit mass) on every read
-//!   ([`column`]).
+//!   ([`column`](mod@column)).
 //! * [`BlockPool`] — a fixed number of decoded block frames with LRU
 //!   eviction among unpinned frames, pinned [`BlockLease`]s, and
-//!   hit/miss/eviction/bypass statistics ([`column`]).
+//!   hit/miss/eviction/bypass statistics ([`column`](mod@column)).
 //!
 //! `earthmover-core`'s flat `.emdb` format remains the import/export
 //! form; `core::storage::{save_paged, open_paged}` bridge it to this

@@ -604,19 +604,17 @@ fn client(flags: &Flags) -> Result<(), String> {
     };
     match op {
         "knn" => {
-            let k: u32 = flags.num("k", 10)?;
+            let k: usize = flags.num("k", 10)?;
             let q = query_histogram()?;
-            let outcome = match flags.get("mode") {
-                None => client.knn(&q, k, deadline_us).map_err(|e| e.to_string())?,
-                Some(spec) => {
-                    let mode = earthmover::RetrievalMode::parse(spec).ok_or_else(|| {
-                        format!("--mode {spec}: expected exact, sketch, or approx:EPS")
-                    })?;
-                    client
-                        .knn_mode(&q, k, deadline_us, mode)
-                        .map_err(|e| e.to_string())?
-                }
+            let mode = match flags.get("mode") {
+                None => None,
+                Some(spec) => Some(earthmover::RetrievalMode::parse(spec).ok_or_else(|| {
+                    format!("--mode {spec}: expected exact, sketch, or approx:EPS")
+                })?),
             };
+            let outcome = client
+                .query(&q, earthmover::QueryPlan::Knn { k, mode }, deadline_us)
+                .map_err(|e| e.to_string())?;
             print_outcome(outcome);
         }
         "range" => {

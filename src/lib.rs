@@ -63,11 +63,10 @@ pub use earthmover_core::histogram::Histogram;
 pub use earthmover_core::lower_bounds::{
     DistanceMeasure, ExactEmd, LbAvg, LbEuclidean, LbIm, LbManhattan, LbMax,
 };
-pub use earthmover_core::multistep::optimal_knn_relaxed_within;
 pub use earthmover_core::multistep::{
-    gemini_knn, linear_scan_knn, optimal_knn, range_query, QueryResult,
+    gemini_knn_within, linear_scan_knn, optimal_knn_relaxed_within, range_query_within, QueryResult,
 };
-pub use earthmover_core::pipeline::{FirstStage, KnnAlgorithm, QueryEngine};
+pub use earthmover_core::pipeline::{FirstStage, KnnAlgorithm, QueryEngine, QueryPlan};
 pub use earthmover_core::quadratic_form::QuadraticForm;
 pub use earthmover_core::sketch_tier::{RetrievalInfo, RetrievalMode, SketchTier};
 pub use earthmover_transport::{emd, emd_with_flow, CostMatrix};

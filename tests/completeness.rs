@@ -7,7 +7,10 @@
 //! per filter — `LB(x, y) ≤ EMD(x, y)` — plus the correctness of the
 //! query algorithms, both exercised here.
 
-use earthmover::core::multistep::{optimal_knn, range_query, CandidateSource, ScanSource};
+use earthmover::core::multistep::{
+    optimal_knn_relaxed_within, range_query_within, CandidateSource, ScanSource,
+};
+use earthmover::core::Deadline;
 use earthmover::{
     linear_scan_knn, BinGrid, CostMatrix, DistanceMeasure, ExactEmd, Histogram, HistogramDb, LbAvg,
     LbEuclidean, LbIm, LbManhattan, LbMax,
@@ -112,7 +115,9 @@ proptest! {
         let im = LbIm::new(&cost);
 
         let brute = linear_scan_knn(&db, &q, k, &exact).unwrap();
-        let multi = optimal_knn(&source, &db, &q, k, &[&im], &exact).unwrap();
+        let multi =
+            optimal_knn_relaxed_within(&source, &db, &q, k, 0.0, &[&im], &exact, Deadline::none())
+                .unwrap();
         prop_assert_eq!(multi.items.len(), brute.items.len());
         for ((_, a), (_, b)) in multi.items.iter().zip(&brute.items) {
             prop_assert!((a - b).abs() < 1e-9);
@@ -133,7 +138,8 @@ proptest! {
         let q = random_histogram(&mut rng, grid.num_bins());
         let exact = ExactEmd::new(cost.clone());
         let source = ScanSource::new(&db, LbManhattan::new(&cost));
-        let result = range_query(&source, &db, &q, eps, &[], &exact).unwrap();
+        let result =
+            range_query_within(&source, &db, &q, eps, &[], &exact, Deadline::none()).unwrap();
         // Results are distance-ordered; compare as id sets.
         let mut got: Vec<usize> = result.items.iter().map(|(id, _)| *id).collect();
         got.sort_unstable();
@@ -198,7 +204,17 @@ fn optimal_knn_lookahead_is_complete_at_and_past_its_cap() {
                 .collect();
             for k in [1, 10, 39, 40, 41, 150] {
                 for (name, source) in sources {
-                    let multi = optimal_knn(source, &db, &q, k, &[&im], &exact).unwrap();
+                    let multi = optimal_knn_relaxed_within(
+                        source,
+                        &db,
+                        &q,
+                        k,
+                        0.0,
+                        &[&im],
+                        &exact,
+                        Deadline::none(),
+                    )
+                    .unwrap();
                     assert_eq!(multi.items.len(), k, "{name} k={k}");
                     for ((_, a), b) in multi.items.iter().zip(&brute) {
                         assert!((a - b).abs() < 1e-9, "{name} k={k}: {a} vs {b}");
