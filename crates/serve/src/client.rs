@@ -6,13 +6,14 @@
 //! legitimately carry id `0` when the server sheds before reading the
 //! request — see the protocol docs).
 
+use crate::conn::Conn;
 use crate::protocol::{self, ErrorCode, Request, Response, WireError, DEFAULT_MAX_FRAME_LEN};
 use crate::retry::RetryPolicy;
 use earthmover_core::stats::QueryStats;
-use earthmover_core::{Histogram, QueryPlan, RetrievalMode};
+use earthmover_core::{Deadline, Histogram, QueryPlan, RetrievalMode};
 use earthmover_obs as obs;
 use std::io;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::Duration;
 
 /// What a query came back as, from the client's point of view.
@@ -118,7 +119,7 @@ pub struct HealthInfo {
 /// which rides out a server restart mid-session.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    conn: Conn,
     next_id: u64,
     max_frame_len: u32,
     addrs: Vec<SocketAddr>,
@@ -128,13 +129,25 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects with the given I/O timeout applied to connects, reads,
-    /// and writes. Retries are off by default ([`RetryPolicy::none`]).
+    /// Connects within `io_timeout`. Each later call gets one
+    /// `io_timeout` budget that covers its request write and its
+    /// response read together, not each syscall; a reconnect gets its
+    /// own. Retries are off by default ([`RetryPolicy::none`]).
     pub fn connect(addr: impl ToSocketAddrs, io_timeout: Duration) -> Result<Client, ClientError> {
+        Client::connect_within(addr, io_timeout, Deadline::within(io_timeout))
+    }
+
+    /// [`Client::connect`], dialing before `deadline` instead of within
+    /// `io_timeout`.
+    pub(crate) fn connect_within(
+        addr: impl ToSocketAddrs,
+        io_timeout: Duration,
+        deadline: Deadline,
+    ) -> Result<Client, ClientError> {
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        let stream = Client::open_stream(&addrs, io_timeout)?;
+        let conn = Conn::connect(&addrs, deadline)?;
         Ok(Client {
-            stream,
+            conn,
             next_id: 1,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             addrs,
@@ -142,29 +155,6 @@ impl Client {
             retry: RetryPolicy::none(),
             retries: 0,
         })
-    }
-
-    fn open_stream(addrs: &[SocketAddr], io_timeout: Duration) -> Result<TcpStream, ClientError> {
-        let mut last: Option<io::Error> = None;
-        for addr in addrs {
-            match TcpStream::connect_timeout(addr, io_timeout) {
-                Ok(stream) => {
-                    stream.set_read_timeout(Some(io_timeout))?;
-                    stream.set_write_timeout(Some(io_timeout))?;
-                    stream.set_nodelay(true)?;
-                    return Ok(stream);
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(ClientError::Wire(WireError::from(last.unwrap_or_else(
-            || {
-                io::Error::new(
-                    io::ErrorKind::AddrNotAvailable,
-                    "no addresses to connect to",
-                )
-            },
-        ))))
     }
 
     /// Installs a retry policy: wire failures reconnect and re-issue the
@@ -180,18 +170,13 @@ impl Client {
     /// Replaces the connection with a fresh one to the original target.
     /// Pending request ids keep incrementing across reconnects.
     pub fn reconnect(&mut self) -> Result<(), ClientError> {
-        self.stream = Client::open_stream(&self.addrs, self.io_timeout)?;
+        self.conn = Conn::connect(&self.addrs, self.budget())?;
         Ok(())
     }
 
-    /// Changes the I/O timeout for the current connection and any later
-    /// reconnects. Callers with a deadline trim this per request so a
-    /// stalled server costs the remaining budget, not the idle timeout.
-    pub fn set_io_timeout(&mut self, io_timeout: Duration) -> Result<(), ClientError> {
-        self.stream.set_read_timeout(Some(io_timeout))?;
-        self.stream.set_write_timeout(Some(io_timeout))?;
-        self.io_timeout = io_timeout;
-        Ok(())
+    /// One call's socket budget: `io_timeout` from now.
+    fn budget(&self) -> Deadline {
+        Deadline::within(self.io_timeout)
     }
 
     /// How many retry attempts this client has performed (0 until a
@@ -200,19 +185,23 @@ impl Client {
         self.retries
     }
 
+    /// Sends `req` and reads its answer, the first attempt before
+    /// `deadline`. Each retry is a fresh attempt: a reconnect and a call
+    /// with their own `io_timeout` budgets.
     fn call(
         &mut self,
         req: &Request,
         mode: Option<RetrievalMode>,
+        deadline: Deadline,
     ) -> Result<(u64, Response), ClientError> {
         let mut attempt: u32 = 0;
         loop {
             let result = if attempt == 0 {
-                self.call_once(req, mode)
+                self.call_once(req, mode, deadline)
             } else {
                 // A fresh socket: the old one died with a wire error.
                 match self.reconnect() {
-                    Ok(()) => self.call_once(req, mode),
+                    Ok(()) => self.call_once(req, mode, self.budget()),
                     Err(e) => Err(e),
                 }
             };
@@ -235,6 +224,7 @@ impl Client {
         &mut self,
         req: &Request,
         mode: Option<RetrievalMode>,
+        deadline: Deadline,
     ) -> Result<(u64, Response), ClientError> {
         let id = self.next_id;
         self.next_id += 1;
@@ -244,8 +234,10 @@ impl Client {
         // Without a context or a mode the frame is byte-identical to
         // protocol v1.
         let frame = protocol::encode_request_full(id, req, obs::current_trace(), mode)?;
-        protocol::write_frame(&mut self.stream, &frame)?;
-        let raw = protocol::read_frame(&mut self.stream, self.max_frame_len)?
+        self.conn.write_frame(&frame, deadline)?;
+        let raw = self
+            .conn
+            .read_frame(self.max_frame_len, deadline)?
             .ok_or(ClientError::Wire(WireError::Truncated))?;
         let got = raw.request_id;
         let resp = raw.into_response()?;
@@ -270,6 +262,18 @@ impl Client {
         plan: QueryPlan,
         deadline_us: u64,
     ) -> Result<Outcome, ClientError> {
+        self.query_within(histogram, plan, deadline_us, self.budget())
+    }
+
+    /// [`Client::query`] with its socket I/O bounded by `deadline`
+    /// instead of `io_timeout`; `deadline_us` still goes on the wire.
+    pub(crate) fn query_within(
+        &mut self,
+        histogram: &Histogram,
+        plan: QueryPlan,
+        deadline_us: u64,
+        deadline: Deadline,
+    ) -> Result<Outcome, ClientError> {
         let histogram = histogram.clone();
         let (req, mode) = match plan {
             QueryPlan::Knn { k, mode } => {
@@ -290,7 +294,7 @@ impl Client {
                 (req, None)
             }
         };
-        match self.call(&req, mode)?.1 {
+        match self.call(&req, mode, deadline)?.1 {
             Response::Results { items, stats } => Ok(Outcome::Complete { items, stats }),
             Response::DeadlineExceeded { items, stats } => Ok(Outcome::Partial { items, stats }),
             Response::Overloaded { queue_depth, stats } => {
@@ -342,7 +346,7 @@ impl Client {
 
     /// Liveness probe.
     pub fn health(&mut self) -> Result<HealthInfo, ClientError> {
-        match self.call(&Request::Health, None)?.1 {
+        match self.call(&Request::Health, None, self.budget())?.1 {
             Response::HealthReport {
                 draining,
                 db_size,
@@ -361,7 +365,7 @@ impl Client {
 
     /// Fetches the server's metrics in Prometheus text format.
     pub fn stats(&mut self) -> Result<String, ClientError> {
-        match self.call(&Request::Stats, None)?.1 {
+        match self.call(&Request::Stats, None, self.budget())?.1 {
             Response::StatsReport { prometheus } => Ok(prometheus),
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
             _ => Err(ClientError::UnexpectedResponse),
@@ -371,7 +375,7 @@ impl Client {
     /// Asks the server to drain and stop. The server closes the
     /// connection after acknowledging.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.call(&Request::Shutdown, None)?.1 {
+        match self.call(&Request::Shutdown, None, self.budget())?.1 {
             Response::ShutdownStarted => Ok(()),
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
             _ => Err(ClientError::UnexpectedResponse),

@@ -19,11 +19,13 @@
 //! seed and asserts the exact same retry/failover/breaker behavior,
 //! which is how distributed-failure handling stays testable.
 
-use crate::protocol::{self, DEFAULT_MAX_FRAME_LEN};
+use crate::conn::Conn;
+use crate::protocol::DEFAULT_MAX_FRAME_LEN;
 use crate::retry::splitmix64;
 use crate::server::StopHandle;
-use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use earthmover_core::deadline::Deadline;
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -107,7 +109,7 @@ pub struct FaultProxyConfig {
     /// How long a [`FaultClass::Stall`] connection stays silent before
     /// closing. Pick it longer than the caller's deadline.
     pub stall: Duration,
-    /// Socket timeout for proxy-side reads and writes.
+    /// Budget for each proxy-side connect, frame read and frame write.
     pub io_timeout: Duration,
     /// Maximum relayed frame payload length.
     pub max_frame_len: u32,
@@ -206,8 +208,8 @@ fn accept_loop(
 ) {
     let mut conn_index: u64 = 0;
     while !stop.is_stopped() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
+        match Conn::accept(listener) {
+            Ok(client) => {
                 let class = schedule.lock().unwrap_or_else(|e| e.into_inner()).draw();
                 if let Some(c) = counters.injected.get(class.index()) {
                     c.fetch_add(1, Ordering::SeqCst);
@@ -217,7 +219,7 @@ fn accept_loop(
                 conn_index = conn_index.wrapping_add(1);
                 let spawned = std::thread::Builder::new()
                     .name("fault-proxy-conn".into())
-                    .spawn(move || handle_connection(stream, backend, class, &cfg, this_conn));
+                    .spawn(move || handle_connection(client, backend, class, &cfg, this_conn));
                 // Thread-spawn failure (fd/thread exhaustion): drop the
                 // connection; the caller sees a wire error, which is a
                 // fault class it already handles.
@@ -234,33 +236,27 @@ fn accept_loop(
 
 /// Runs one proxied connection under its drawn fault class.
 fn handle_connection(
-    mut client: TcpStream,
+    mut client: Conn,
     backend: SocketAddr,
     class: FaultClass,
     cfg: &FaultProxyConfig,
     conn_index: u64,
 ) {
-    let _ = client.set_nonblocking(false);
-    let _ = client.set_read_timeout(Some(cfg.io_timeout));
-    let _ = client.set_write_timeout(Some(cfg.io_timeout));
-    let _ = client.set_nodelay(true);
     if class == FaultClass::Refuse {
         // Closing immediately (before reading) is the closest a
         // userspace proxy gets to ECONNREFUSED: the caller's first
         // write or read fails with a reset.
-        let _ = client.shutdown(Shutdown::Both);
+        client.shutdown();
         return;
     }
-    let Ok(mut upstream) = TcpStream::connect_timeout(&backend, cfg.io_timeout) else {
-        let _ = client.shutdown(Shutdown::Both);
+    let budget = || Deadline::within(cfg.io_timeout);
+    let Ok(mut upstream) = Conn::connect(&[backend], budget()) else {
+        client.shutdown();
         return;
     };
-    let _ = upstream.set_read_timeout(Some(cfg.io_timeout));
-    let _ = upstream.set_write_timeout(Some(cfg.io_timeout));
-    let _ = upstream.set_nodelay(true);
     // Frame-by-frame relay: read a request from the client, decide what
     // to do with the backend's response.
-    while let Ok(Some(request)) = protocol::read_frame(&mut client, cfg.max_frame_len) {
+    while let Ok(Some(request)) = client.read_frame(cfg.max_frame_len, budget()) {
         match class {
             FaultClass::Stall => {
                 // Swallow the request and go silent past the caller's
@@ -269,34 +265,31 @@ fn handle_connection(
                 break;
             }
             FaultClass::Garbage => {
-                let _ = client.write_all(&garbage_bytes(conn_index));
-                let _ = client.flush();
+                let _ = client.write_frame(&garbage_bytes(conn_index), budget());
                 break;
             }
             FaultClass::Healthy | FaultClass::CutMidFrame => {
-                if protocol::write_frame(&mut upstream, &request.encode()).is_err() {
+                if upstream.write_frame(&request.encode(), budget()).is_err() {
                     break;
                 }
-                let Ok(Some(response)) = protocol::read_frame(&mut upstream, cfg.max_frame_len)
-                else {
+                let Ok(Some(response)) = upstream.read_frame(cfg.max_frame_len, budget()) else {
                     break;
                 };
                 let bytes = response.encode();
                 if class == FaultClass::CutMidFrame {
                     let half = bytes.get(..bytes.len() / 2).unwrap_or(&bytes);
-                    let _ = client.write_all(half);
-                    let _ = client.flush();
+                    let _ = client.write_frame(half, budget());
                     break;
                 }
-                if protocol::write_frame(&mut client, &bytes).is_err() {
+                if client.write_frame(&bytes, budget()).is_err() {
                     break;
                 }
             }
             FaultClass::Refuse => break, // handled above; unreachable here
         }
     }
-    let _ = client.shutdown(Shutdown::Both);
-    let _ = upstream.shutdown(Shutdown::Both);
+    client.shutdown();
+    upstream.shutdown();
 }
 
 /// 64 deterministic bytes that can never parse as a frame (the first

@@ -30,7 +30,9 @@
 //!   client → coordinator → shard spans link into one trace tree.
 //!
 //! Everything is built on `std::net` — no third-party dependencies, in
-//! keeping with the rest of the workspace.
+//! keeping with the rest of the workspace. Every socket is a
+//! [`conn::Conn`], whose connect, frame read and frame write each take a
+//! `Deadline`.
 //!
 //! [`QueryEngine`]: earthmover_core::pipeline::QueryEngine
 
@@ -41,6 +43,7 @@
 
 pub mod breaker;
 pub mod client;
+pub mod conn;
 pub mod coord;
 pub mod coord_server;
 pub mod daemon;

@@ -17,14 +17,16 @@
 //! [`crate::server`] runs it against a query engine,
 //! [`crate::coord_server`] scatters it over the shards.
 
+use crate::conn::Conn;
 use crate::protocol::{self, ErrorCode, Request, RequestExt, Response, WireError, OVERLOAD_NOTE};
 use crate::server::StopHandle;
+use earthmover_core::deadline::Deadline;
 use earthmover_core::stats::QueryStats;
 use earthmover_obs::names::Name;
 use earthmover_obs::{self as obs, MetricsRegistry, Subscriber};
 use std::collections::VecDeque;
 use std::io;
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
@@ -169,14 +171,14 @@ impl<H: Handler> Runtime<'_, H> {
         let registry = self.handler.registry();
         let depth_gauge = registry.gauge(&H::NAMES.queue_depth);
         while !self.stop.is_stopped() {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
+            match Conn::accept(listener) {
+                Ok(conn) => {
                     registry.counter(&H::NAMES.connections_total).inc(1);
-                    match self.queue.push(stream) {
+                    match self.queue.push(conn) {
                         Ok(len) => depth_gauge.set(len as f64),
-                        Err(stream) => {
+                        Err(conn) => {
                             registry.counter(&H::NAMES.shed_total).inc(1);
-                            self.shed.offer(stream);
+                            self.shed.offer(conn);
                         }
                     }
                 }
@@ -199,17 +201,15 @@ impl<H: Handler> Runtime<'_, H> {
     /// and hangs up.
     fn shed_loop(&self) {
         loop {
-            let Some(mut stream) = self.shed.take() else {
+            let Some(mut conn) = self.shed.take() else {
                 if self.shed.is_closed() {
                     return;
                 }
                 continue;
             };
             obs::event!(H::NAMES.shed_event);
-            let _ = stream.set_nonblocking(false);
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-            let _ = stream.set_write_timeout(Some(self.limits.write_timeout));
-            let request_id = match protocol::read_frame(&mut stream, self.limits.max_frame_len) {
+            let read_by = Deadline::within(Duration::from_millis(250));
+            let request_id = match conn.read_frame(self.limits.max_frame_len, read_by) {
                 Ok(Some(raw)) => raw.request_id,
                 _ => 0,
             };
@@ -223,8 +223,8 @@ impl<H: Handler> Runtime<'_, H> {
                 stats,
             };
             let frame = protocol::encode_response(request_id, &resp);
-            let _ = protocol::write_frame(&mut stream, &frame);
-            let _ = stream.shutdown(Shutdown::Both);
+            let _ = conn.write_frame(&frame, Deadline::within(self.limits.write_timeout));
+            conn.shutdown();
         }
     }
 
@@ -239,9 +239,9 @@ impl<H: Handler> Runtime<'_, H> {
             let (conn, len) = self.queue.pop(Duration::from_millis(50), self.stop);
             depth_gauge.set(len as f64);
             match conn {
-                Some((stream, queued_at)) => {
+                Some((conn, queued_at)) => {
                     queue_wait.observe(queued_at.elapsed());
-                    self.serve_connection(&mut worker, stream);
+                    self.serve_connection(&mut worker, conn);
                 }
                 None if self.stop.is_stopped() => return,
                 None => {}
@@ -251,19 +251,19 @@ impl<H: Handler> Runtime<'_, H> {
 
     /// Owns one connection: keep-alive loop reading frames until EOF,
     /// idle timeout, a protocol error, or a drain. Requests on one
-    /// connection are served back-to-back.
-    fn serve_connection(&self, worker: &mut H::Worker, mut stream: TcpStream) {
+    /// connection are served back-to-back. Each frame must arrive whole
+    /// within `read_timeout` of starting to wait for it, and each answer
+    /// must leave within `write_timeout`.
+    fn serve_connection(&self, worker: &mut H::Worker, mut conn: Conn) {
         let registry = self.handler.registry();
         let active = registry.gauge(&H::NAMES.active_connections);
         active.add(1.0);
         let mut span = obs::span!(H::NAMES.connection_span);
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.set_read_timeout(Some(self.limits.read_timeout));
-        let _ = stream.set_write_timeout(Some(self.limits.write_timeout));
-        let _ = stream.set_nodelay(true);
+        let max_frame_len = self.limits.max_frame_len;
+        let write_by = || Deadline::within(self.limits.write_timeout);
         let mut served: u64 = 0;
         loop {
-            match protocol::read_frame(&mut stream, self.limits.max_frame_len) {
+            match conn.read_frame(max_frame_len, Deadline::within(self.limits.read_timeout)) {
                 Ok(Some(raw)) => {
                     served += 1;
                     registry.counter(&H::NAMES.requests_total).inc(1);
@@ -275,31 +275,28 @@ impl<H: Handler> Runtime<'_, H> {
                     let request = raw.into_request_ext().map_err(|e| self.bad_request(&e));
                     let (response, keep_going) = self.handler.respond(worker, started, request);
                     let frame = protocol::encode_response(request_id, &response);
-                    let wrote = protocol::write_frame(&mut stream, &frame).is_ok();
+                    let wrote = conn.write_frame(&frame, write_by()).is_ok();
                     if !(keep_going && wrote) || self.stop.is_stopped() {
                         break;
                     }
                 }
                 Ok(None) => break, // clean EOF at a frame boundary
-                Err(WireError::Io(e))
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    break; // idle keep-alive connection
+                Err(WireError::Io(e)) if e.kind() == io::ErrorKind::TimedOut => {
+                    break; // idle keep-alive connection, or a frame too slow
                 }
                 Err(err) => {
                     // Malformed bytes: answer with a typed error, then
                     // hang up — the stream position is no longer
                     // trustworthy.
                     let frame = protocol::encode_response(0, &self.bad_request(&err));
-                    let _ = protocol::write_frame(&mut stream, &frame);
+                    let _ = conn.write_frame(&frame, write_by());
                     break;
                 }
             }
         }
         span.record("requests", served as f64);
         drop(span);
-        let _ = stream.shutdown(Shutdown::Both);
+        conn.shutdown();
         active.add(-1.0);
     }
 
@@ -318,7 +315,7 @@ impl<H: Handler> Runtime<'_, H> {
 /// connection carries the instant it was admitted, so the worker that
 /// pops it can observe its queue wait.
 struct ConnQueue {
-    inner: Mutex<VecDeque<(TcpStream, Instant)>>,
+    inner: Mutex<VecDeque<(Conn, Instant)>>,
     ready: Condvar,
     depth: usize,
 }
@@ -332,13 +329,13 @@ impl ConnQueue {
         }
     }
 
-    /// Enqueues unless full; returns the stream back on overflow.
-    fn push(&self, stream: TcpStream) -> Result<usize, TcpStream> {
+    /// Enqueues unless full; returns the connection back on overflow.
+    fn push(&self, conn: Conn) -> Result<usize, Conn> {
         let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if q.len() >= self.depth {
-            return Err(stream);
+            return Err(conn);
         }
-        q.push_back((stream, Instant::now()));
+        q.push_back((conn, Instant::now()));
         let len = q.len();
         self.ready.notify_one();
         Ok(len)
@@ -346,7 +343,7 @@ impl ConnQueue {
 
     /// Pops the next connection, waiting up to `wait` while the queue is
     /// empty and `stop` is unset; `None` on timeout or stop.
-    fn pop(&self, wait: Duration, stop: &StopHandle) -> (Option<(TcpStream, Instant)>, usize) {
+    fn pop(&self, wait: Duration, stop: &StopHandle) -> (Option<(Conn, Instant)>, usize) {
         let q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let (mut q, _) = self
             .ready
@@ -369,7 +366,7 @@ impl ConnQueue {
 /// a slow peer. Bounded: beyond [`SHED_LANE_DEPTH`] pending peers the
 /// connection is dropped outright (still counted by the shed counter).
 struct ShedLane {
-    inner: Mutex<(VecDeque<TcpStream>, bool)>,
+    inner: Mutex<(VecDeque<Conn>, bool)>,
     ready: Condvar,
 }
 
@@ -383,17 +380,17 @@ impl ShedLane {
         }
     }
 
-    fn offer(&self, stream: TcpStream) {
+    fn offer(&self, conn: Conn) {
         let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if g.0.len() < SHED_LANE_DEPTH {
-            g.0.push_back(stream);
+            g.0.push_back(conn);
             self.ready.notify_one();
         }
-        // else: drop the stream here — the peer sees a reset, which is
+        // else: drop the connection here — the peer sees a reset, which is
         // the honest signal once even the shed lane is saturated.
     }
 
-    fn take(&self) -> Option<TcpStream> {
+    fn take(&self) -> Option<Conn> {
         let g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let (mut g, _) = self
             .ready

@@ -95,24 +95,27 @@ impl ShardEndpoint {
         plan: QueryPlan,
         deadline: Deadline,
     ) -> Result<Outcome, ClientError> {
-        if self.client.is_none() {
-            self.client = Some(Client::connect(self.addr, self.io_timeout)?);
-        }
-        let Some(client) = self.client.as_mut() else {
-            return Err(ClientError::UnexpectedResponse);
-        };
-        // Trim this attempt's socket timeout to the remaining budget so
-        // a stalled shard costs roughly the deadline, not the full idle
-        // I/O timeout.
-        let attempt_timeout = match deadline.remaining() {
+        // One socket budget for the dial, the write and the read, trimmed
+        // to the remaining deadline so a stalled shard costs roughly the
+        // deadline, not the full idle I/O timeout. The 5 ms floor lets an
+        // expired leg still fetch the shard's typed partial.
+        let socket = Deadline::within(match deadline.remaining() {
             Some(rem) => self
                 .io_timeout
                 .min(rem + Duration::from_millis(10))
                 .max(Duration::from_millis(5)),
             None => self.io_timeout,
+        });
+        let client = match &mut self.client {
+            Some(client) => client,
+            empty => empty.insert(Client::connect_within(self.addr, self.io_timeout, socket)?),
         };
-        client.set_io_timeout(attempt_timeout)?;
-        client.query(histogram, plan, protocol::deadline_to_wire(deadline))
+        client.query_within(
+            histogram,
+            plan,
+            protocol::deadline_to_wire(deadline),
+            socket,
+        )
     }
 
     /// Calls the endpoint with retry, reconnect, backoff, and the

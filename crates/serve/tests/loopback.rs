@@ -1,9 +1,10 @@
 //! End-to-end tests against a real daemon on an ephemeral loopback
 //! port: result parity with the in-process engine, keep-alive, health
 //! and Prometheus stats, deadline budgets, admission-control shedding,
-//! malformed-bytes hardening, and drain-then-shutdown. The admission
-//! and oversized-`k` tests run against both front ends of the shared
-//! daemon runtime.
+//! malformed-bytes hardening, slow-peer frame deadlines, and
+//! drain-then-shutdown. The admission, oversized-`k`, malformed-bytes
+//! and slow-peer tests run against both front ends of the shared daemon
+//! runtime.
 
 use earthmover_core::deadline::DEADLINE_NOTE;
 use earthmover_core::ground::BinGrid;
@@ -11,15 +12,15 @@ use earthmover_core::pipeline::QueryEngine;
 use earthmover_core::{Deadline, HistogramDb, QueryPlan, RetrievalInfo, RetrievalMode, SketchTier};
 use earthmover_imaging::corpus::{CorpusConfig, SyntheticCorpus};
 use earthmover_obs::names;
-use earthmover_serve::protocol::OVERLOAD_NOTE;
+use earthmover_serve::conn::Conn;
+use earthmover_serve::protocol::{self, ErrorCode, Request, Response, OVERLOAD_NOTE};
 use earthmover_serve::{
     Client, ClusterConfig, ClusterShared, CoordServer, CoordServerConfig, GroupSpec, Outcome,
-    Server, ServerConfig,
+    Server, ServerConfig, WireError,
 };
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn corpus_db(count: usize) -> (BinGrid, HistogramDb) {
     let grid = BinGrid::new(vec![4, 4, 4]);
@@ -72,8 +73,8 @@ enum FrontEnd {
 const FRONT_ENDS: [FrontEnd; 2] = [FrontEnd::Node, FrontEnd::Coordinator];
 
 /// [`with_daemon`] for either front end; `cfg`'s pool and queue sizes
-/// apply to the daemon the body talks to (behind a coordinator the
-/// shard runs the defaults).
+/// and read timeout apply to the daemon the body talks to (behind a
+/// coordinator the shard runs the defaults).
 fn with_front_end(
     front: FrontEnd,
     db: &HistogramDb,
@@ -96,6 +97,7 @@ fn with_front_end(
             let coord_cfg = CoordServerConfig {
                 workers: cfg.workers,
                 queue_depth: cfg.queue_depth,
+                read_timeout: cfg.read_timeout,
                 fleet_scrape_interval: None,
                 ..CoordServerConfig::default()
             };
@@ -313,21 +315,88 @@ fn malformed_bytes_get_typed_error_and_daemon_survives() {
         with_front_end(front, &db, &grid, ServerConfig::default(), |addr| {
             wait_healthy(addr);
 
-            // Raw socket speaking HTTP at the daemon.
-            let mut raw = TcpStream::connect(addr).unwrap();
-            raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            raw.write_all(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-            let mut buf = Vec::new();
-            let _ = raw.read_to_end(&mut buf); // server answers Error, closes
+            // A connection speaking HTTP at the daemon.
+            let budget = || Deadline::within(Duration::from_secs(5));
+            let mut raw = Conn::connect(&[addr], budget()).unwrap();
+            raw.write_frame(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n", budget())
+                .unwrap();
+            // The server answers with a typed error frame, then closes.
+            let frame = raw.read_frame(1 << 20, budget()).unwrap();
+            let answer = frame.map(|f| f.into_response());
             assert!(
-                buf.starts_with(b"EMDQ"),
-                "{front:?} should answer with a protocol frame, got {buf:?}"
+                matches!(
+                    answer,
+                    Some(Ok(Response::Error {
+                        code: ErrorCode::BadRequest,
+                        ..
+                    }))
+                ),
+                "{front:?} should answer with a typed error frame, got {answer:?}"
+            );
+            assert!(
+                matches!(raw.read_frame(1 << 20, budget()), Ok(None)),
+                "{front:?} should close after the error frame"
             );
 
             // The daemon is still healthy for well-behaved clients.
             let mut client = Client::connect(addr, Duration::from_secs(5)).unwrap();
             assert!(client.health().is_ok());
         });
+    }
+}
+
+/// A peer that drips a valid header one byte per 150 ms never lets any
+/// single read wait 300 ms, but the frame as a whole must arrive within
+/// `read_timeout`: the daemon hangs up long before the header is done.
+#[test]
+fn dripping_peer_is_cut_off_by_the_frame_deadline() {
+    let (grid, db) = corpus_db(100);
+    let request = Request::Knn {
+        k: 3,
+        deadline_us: 0,
+        histogram: db.get(0).to_histogram(),
+    };
+    let frame = protocol::encode_request(1, &request).unwrap();
+    let header = &frame[..protocol::HEADER_LEN];
+    for front in FRONT_ENDS {
+        let cfg = ServerConfig {
+            read_timeout: Duration::from_millis(300),
+            ..ServerConfig::default()
+        };
+        // The verdict is checked after the daemon stops: a panic inside
+        // the body would leave the daemon running and the scope waiting.
+        let mut closed = None;
+        with_front_end(front, &db, &grid, cfg, |addr| {
+            wait_healthy(addr);
+            let mut peer =
+                Conn::connect(&[addr], Deadline::within(Duration::from_secs(5))).unwrap();
+            let mut first_byte = None;
+            for byte in header.chunks(1) {
+                let budget = Deadline::within(Duration::from_secs(5));
+                if peer.write_frame(byte, budget).is_err() {
+                    closed = first_byte.map(|t: Instant| t.elapsed());
+                    break;
+                }
+                let first = *first_byte.get_or_insert_with(Instant::now);
+                // Waiting for an answer is the 150 ms pause between bytes;
+                // the daemon never answers, it can only hang up.
+                match peer.read_frame(1 << 20, Deadline::within(Duration::from_millis(150))) {
+                    Err(WireError::Io(e)) if e.kind() == std::io::ErrorKind::TimedOut => {}
+                    Ok(None) | Err(WireError::Io(_)) => {
+                        closed = Some(first.elapsed());
+                        break;
+                    }
+                    other => panic!("{front:?}: unexpected answer to a partial header: {other:?}"),
+                }
+            }
+        });
+        let closed = closed.unwrap_or_else(|| {
+            panic!("{front:?}: the connection was still open after all 18 header bytes")
+        });
+        assert!(
+            closed < Duration::from_millis(600),
+            "{front:?}: closed {closed:?} after the first byte"
+        );
     }
 }
 

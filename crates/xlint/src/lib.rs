@@ -4,14 +4,16 @@
 //!
 //! The correctness of the multistep EMD pipeline rests on properties the
 //! compiler cannot see: filters must be admissible lower bounds, slice
-//! indexing on query paths may only shrink, locks must nest in one order,
-//! and network fan-out must carry a deadline. `xlint` machine-checks
-//! those contracts on every PR (`cargo run -p xlint -- check`) with a
-//! hand-rolled lexer over every workspace `.rs` file — zero dependencies,
-//! fully offline, no compiler plugins. What rustc and clippy can check —
-//! no `unwrap`/`expect`/`panic!`/`unreachable!` in library code, no exact
-//! float compares, span and metric names spelled one way — they do,
-//! through crate-root `deny` attributes and the `obs::names` constants.
+//! indexing on query paths may only shrink, and locks must nest in one
+//! order. `xlint` machine-checks those contracts on every PR
+//! (`cargo run -p xlint -- check`) with a hand-rolled lexer over every
+//! workspace `.rs` file — zero dependencies, fully offline, no compiler
+//! plugins. What rustc and clippy can check — no
+//! `unwrap`/`expect`/`panic!`/`unreachable!` in library code, no exact
+//! float compares, span and metric names spelled one way, a deadline on
+//! every socket read and write — they do, through crate-root `deny`
+//! attributes, `clippy.toml`, the `obs::names` constants and
+//! `serve::conn::Conn`.
 //!
 //! See `xlint.toml` at the workspace root for rule scopes, the
 //! slice-indexing ratchet baseline, and suppression policy, and

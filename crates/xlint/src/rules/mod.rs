@@ -4,19 +4,19 @@
 //! Rule catalogue (see DESIGN.md §10). A rule runs when `xlint.toml`
 //! gives its section a `paths` list. The rest of the panic rule and the
 //! float rule are held by rustc/clippy (crate-root `deny` attributes and
-//! `clippy.toml`), and instrumentation names by the type checker
-//! (`obs::names` constants), not here.
+//! `clippy.toml`), instrumentation names by the type checker
+//! (`obs::names` constants), and socket deadlines by both
+//! (`serve::conn::Conn` plus `clippy.toml`'s ban on raw `TcpStream`),
+//! not here.
 //!
 //! | id | category | what it enforces |
 //! |---|---|---|
 //! | `slice_indexing` | panic-freedom | no *new* `expr[...]` indexing (ratcheted per-file baseline) |
 //! | `admissibility_coverage` | admissibility | every `DistanceMeasure` impl appears in the bound-matrix property test |
-//! //! | `lock_discipline` | concurrency | `Mutex`/`RwLock` fields are registered, acquired in registry order, and guards are not held across blocking calls |
-//! | `deadline_propagation` | concurrency | network-touching public fns in the serving layer carry a `Deadline` or are registered as audited exemptions |
-//! //! | `suppression` | hygiene | `xlint:allow` needs a reason and must actually suppress something |
+//! | `lock_discipline` | concurrency | `Mutex`/`RwLock` fields are registered, acquired in registry order, and guards are not held across blocking calls |
+//! | `suppression` | hygiene | `xlint:allow` needs a reason and must actually suppress something |
 
 pub mod admissibility;
-pub mod deadline_propagation;
 pub mod lock_discipline;
 pub mod slice_indexing;
 
@@ -33,7 +33,6 @@ const RULES: &[(&str, Rule)] = &[
     ("slice_indexing", slice_indexing::run),
     ("admissibility_coverage", admissibility::run),
     ("lock_discipline", lock_discipline::run),
-    ("deadline_propagation", deadline_propagation::run),
 ];
 
 /// Shared mutable state while rules run: the report plus per-file

@@ -345,145 +345,6 @@ fn lock_discipline_flags_stale_order_entry() {
 }
 
 // ------------------------------------------------------------------
-// deadline_propagation
-
-const DEADLINE_CFG: &str = r#"entry_points = ["Api::query"]
-exempt = ["Api::bind"]
-io_markers = ["connect"]
-"#;
-
-const DEADLINE_SRC: &str = r#"
-pub struct Api;
-
-impl Api {
-    pub fn query(&self, deadline: Deadline) -> u32 {
-        connect(deadline.remaining())
-    }
-
-    pub fn bind(addr: &str) -> Api {
-        let _s = connect(addr);
-        Api
-    }
-
-    pub fn pure(&self) -> u32 {
-        1
-    }
-}
-"#;
-
-#[test]
-fn deadline_propagation_accepts_registered_entry_points() {
-    let r = run(
-        &only("deadline_propagation", DEADLINE_CFG),
-        &[("crates/demo/src/lib.rs", DEADLINE_SRC)],
-    );
-    assert!(r.is_clean(), "{}", r.to_human());
-}
-
-#[test]
-fn deadline_propagation_flags_unregistered_network_fn() {
-    let src = DEADLINE_SRC.replace(
-        "    pub fn pure(",
-        "    pub fn probe(&self) -> bool {\n        connect(\"peer\")\n    }\n\n    pub fn pure(",
-    );
-    let r = run(
-        &only("deadline_propagation", DEADLINE_CFG),
-        &[("crates/demo/src/lib.rs", &src)],
-    );
-    assert_eq!(
-        rules_of(&r),
-        vec!["deadline_propagation"],
-        "{}",
-        r.to_human()
-    );
-    assert!(
-        r.diagnostics[0].message.contains("Api::probe"),
-        "{}",
-        r.to_human()
-    );
-    assert!(
-        r.diagnostics[0].message.contains("entry_points"),
-        "{}",
-        r.to_human()
-    );
-}
-
-#[test]
-fn deadline_propagation_flags_entry_point_without_deadline() {
-    let src = DEADLINE_SRC.replace("&self, deadline: Deadline", "&self");
-    let r = run(
-        &only("deadline_propagation", DEADLINE_CFG),
-        &[("crates/demo/src/lib.rs", &src)],
-    );
-    assert_eq!(
-        rules_of(&r),
-        vec!["deadline_propagation"],
-        "{}",
-        r.to_human()
-    );
-    assert!(
-        r.diagnostics[0].message.contains("no Deadline"),
-        "{}",
-        r.to_human()
-    );
-}
-
-#[test]
-fn deadline_propagation_flags_stale_registry_entry() {
-    let cfg = only(
-        "deadline_propagation",
-        "entry_points = [\"Api::query\", \"Api::gone\"]\nexempt = [\"Api::bind\"]\nio_markers = [\"connect\"]\n",
-    );
-    let r = run(&cfg, &[("crates/demo/src/lib.rs", DEADLINE_SRC)]);
-    assert_eq!(
-        rules_of(&r),
-        vec!["deadline_propagation"],
-        "{}",
-        r.to_human()
-    );
-    assert!(
-        r.diagnostics[0].message.contains("Api::gone"),
-        "{}",
-        r.to_human()
-    );
-    assert_eq!(r.diagnostics[0].path, "xlint.toml");
-}
-
-#[test]
-fn deadline_propagation_rejects_fn_in_both_lists() {
-    let cfg = only(
-        "deadline_propagation",
-        "entry_points = [\"Api::query\"]\nexempt = [\"Api::query\", \"Api::bind\"]\nio_markers = [\"connect\"]\n",
-    );
-    let r = run(&cfg, &[("crates/demo/src/lib.rs", DEADLINE_SRC)]);
-    assert_eq!(
-        rules_of(&r),
-        vec!["deadline_propagation"],
-        "{}",
-        r.to_human()
-    );
-    assert!(
-        r.diagnostics[0].message.contains("both"),
-        "{}",
-        r.to_human()
-    );
-}
-
-#[test]
-fn deadline_propagation_suppression_silences_one_site() {
-    let src = DEADLINE_SRC.replace(
-        "    pub fn pure(",
-        "    // xlint:allow(deadline_propagation): one-shot admin probe, no budget\n    \
-         pub fn probe(&self) -> bool {\n        connect(\"peer\")\n    }\n\n    pub fn pure(",
-    );
-    let r = run(
-        &only("deadline_propagation", DEADLINE_CFG),
-        &[("crates/demo/src/lib.rs", &src)],
-    );
-    assert!(r.is_clean(), "{}", r.to_human());
-}
-
-// ------------------------------------------------------------------
 // self-check: the real workspace under the real config
 
 #[test]
