@@ -8,9 +8,9 @@
 //! partial (`DeadlineExceeded`), shed (`Overloaded`), dropped
 //! connection, or error — and per-level throughput plus latency
 //! quantiles land in one JSON document (`BENCH_serve.json` by default).
-//! At the top concurrency levels the bounded queue saturates, so the
-//! shed rate is expected to be positive: that is admission control
-//! working, not a failure.
+//! At the top concurrency levels more requests wait for a worker than
+//! the queue depth allows, so the shed rate is expected to be positive:
+//! that is admission control working, not a failure.
 //!
 //! ```sh
 //! loadgen --out BENCH_serve.json --count 2000 --secs-per-level 1.0
@@ -209,7 +209,8 @@ fn drive(
                 tally.latencies.push(started.elapsed().as_secs_f64());
             }
             Ok(Outcome::Overloaded { .. }) => tally.shed += 1,
-            // A reset/EOF is the shed lane's own overflow signal.
+            // A reset/EOF: the connection came past the daemon's cap on
+            // connection threads and was dropped unread.
             Err(earthmover_serve::client::ClientError::Wire(_)) => tally.dropped += 1,
             Err(_) => tally.errors += 1,
         }

@@ -99,6 +99,14 @@ impl Conn {
         protocol::write_frame(&mut self.within(deadline), bytes)
     }
 
+    /// Waits until a read would not block — bytes arrived, the peer
+    /// closed, or the socket failed — without reading anything. Fails
+    /// with `TimedOut` once `deadline` passes first.
+    pub(crate) fn wait_readable(&self, deadline: Deadline) -> io::Result<()> {
+        self.stream.set_read_timeout(arm(deadline)?)?;
+        timed_out(self.stream.peek(&mut [0; 1])).map(drop)
+    }
+
     /// Shuts both directions down. A peer that is already gone is not
     /// an error worth reporting: the connection is over either way.
     pub fn shutdown(&self) {

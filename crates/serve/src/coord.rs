@@ -26,7 +26,7 @@ use crate::protocol;
 use crate::retry::{splitmix64, RetryPolicy};
 use crate::shard::{GroupReply, LatencyTracker, ShardEndpoint, ShardGroup};
 use earthmover_core::stats::{QueryStats, ShardProvenance};
-use earthmover_core::{Histogram, QueryPlan, RetrievalMode};
+use earthmover_core::{Deadline, Histogram, QueryPlan, RetrievalMode};
 use earthmover_obs::{self as obs, names, MetricsRegistry};
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -428,6 +428,18 @@ impl Coordinator {
         plan: QueryPlan,
         deadline_us: u64,
     ) -> Result<Outcome, CoordError> {
+        self.query_arrived(histogram, plan, deadline_us, Instant::now())
+    }
+
+    /// [`Coordinator::query`] for a request whose frame arrived at
+    /// `arrived`: its budget counts from then.
+    pub(crate) fn query_arrived(
+        &mut self,
+        histogram: &Histogram,
+        plan: QueryPlan,
+        deadline_us: u64,
+        arrived: Instant,
+    ) -> Result<Outcome, CoordError> {
         let _span = obs::span!(names::COORD_REQUEST);
         let registry = &self.shared.registry;
         match plan {
@@ -446,7 +458,9 @@ impl Coordinator {
                 histogram.len()
             )));
         }
-        Ok(self.scatter_gather(histogram, plan, deadline_us))
+        let deadline =
+            protocol::deadline_from_wire(deadline_us, self.shared.cfg.default_deadline, arrived);
+        Ok(self.scatter_gather(histogram, plan, deadline))
     }
 
     /// Aggregated cluster health from the coordinator's view: total
@@ -467,10 +481,9 @@ impl Coordinator {
         &mut self,
         histogram: &Histogram,
         plan: QueryPlan,
-        deadline_us: u64,
+        deadline: Deadline,
     ) -> Outcome {
         let started = Instant::now();
-        let deadline = protocol::deadline_from_wire(deadline_us, self.shared.cfg.default_deadline);
         let shard_deadline = deadline.sub_budget(self.shared.cfg.sub_budget_fraction);
         self.salt_counter = self.salt_counter.wrapping_add(1);
         let salt = splitmix64(self.salt_counter);

@@ -4,12 +4,12 @@
 //! Speaks exactly the `emdd` protocol — a client cannot tell a
 //! coordinator from a single node, which is what makes the healthy-
 //! cluster parity tests meaningful. It *is* the daemon runtime
-//! (`runtime`: non-blocking acceptor, bounded connection queue, shed
-//! lane answering overflow with `Overloaded`, worker pool)
-//! with a different handler: each worker owns its own [`Coordinator`]
-//! (private shard connections) over the shared [`ClusterShared`] state
-//! (breakers, latency windows, metrics), and an extra thread keeps the
-//! fleet telemetry cache fresh.
+//! (`runtime`: non-blocking acceptor, connection threads, worker
+//! permits, overflow answered with `Overloaded`) with a different
+//! handler: each worker permit carries its own [`Coordinator`] (private
+//! shard connections) over the shared [`ClusterShared`] state (breakers,
+//! latency windows, metrics), and an extra thread keeps the fleet
+//! telemetry cache fresh.
 //!
 //! A cluster-side degradation (unreachable shard group, shard deadline)
 //! surfaces as the wire's typed-partial frame (`DeadlineExceeded`),
@@ -35,11 +35,14 @@ use std::time::{Duration, Instant};
 /// cluster, shared by every front end.
 #[derive(Debug, Clone)]
 pub struct CoordServerConfig {
-    /// Worker threads, each owning its own shard connections (min 1).
+    /// Requests executed at once, each worker owning its own shard
+    /// connections (min 1).
     pub workers: usize,
-    /// Bounded connection-queue depth; `0` sheds everything.
+    /// Requests that may wait for a busy worker before one is shed with
+    /// `Overloaded`; `0` sheds every request that finds all workers busy.
     pub queue_depth: usize,
-    /// Per-connection idle read timeout.
+    /// Per-connection idle read timeout, which also bounds one frame's
+    /// arrival. An idle connection holds no worker.
     pub read_timeout: Duration,
     /// Per-response write timeout.
     pub write_timeout: Duration,
@@ -91,7 +94,7 @@ pub struct CoordServer {
     stop: StopHandle,
 }
 
-/// State shared by the workers: the coordinator [`Handler`].
+/// State shared by the connection threads: the coordinator [`Handler`].
 pub(crate) struct Shared {
     cfg: CoordServerConfig,
     cluster: Arc<ClusterShared>,
@@ -135,8 +138,8 @@ impl CoordServer {
     }
 
     /// Runs the daemon until a shutdown is requested, then drains and
-    /// returns. `subscriber`, when given, is installed on every worker
-    /// thread and flushed on the way out.
+    /// returns. `subscriber`, when given, is installed on every
+    /// connection thread and flushed on the way out.
     pub fn run(&self, subscriber: Option<Arc<dyn Subscriber>>) -> io::Result<()> {
         let shared = Shared {
             cfg: self.cfg.clone(),
@@ -209,7 +212,7 @@ impl Handler for Shared {
         };
         let _trace_scope = trace.map(|t| obs::set_trace(Some(t)));
         let (response, keep_going) = match request {
-            Ok((req, exts)) => execute(self, coordinator, req, exts.mode),
+            Ok((req, exts)) => execute(self, coordinator, req, exts.mode, started),
             Err(bad_request) => (bad_request, true),
         };
         let elapsed = started.elapsed();
@@ -257,23 +260,25 @@ fn fleet_loop(shared: &Shared, interval: Duration) {
     }
 }
 
-/// Runs one decoded request through the coordinator. Returns the
-/// response and whether the connection may continue.
+/// Runs one decoded request, whose frame arrived at `arrived`, through
+/// the coordinator. Returns the response and whether the connection may
+/// continue.
 fn execute(
     shared: &Shared,
     coordinator: &mut Coordinator,
     req: Request,
     mode: Option<earthmover_core::RetrievalMode>,
+    arrived: Instant,
 ) -> (Response, bool) {
     let registry = shared.cluster.registry();
     match protocol::plan(&req, mode, shared.cfg.default_mode) {
         // An explicit retrieval mode fans out as-is; mode-less traffic
         // keeps the historical exact path byte-for-byte unless the
         // operator set a cluster-wide default tier.
-        Planned::Query(histogram, plan, deadline_us) => (
-            outcome_response(coordinator.query(histogram, plan, deadline_us), registry),
-            true,
-        ),
+        Planned::Query(histogram, plan, deadline_us) => {
+            let outcome = coordinator.query_arrived(histogram, plan, deadline_us, arrived);
+            (outcome_response(outcome, registry), true)
+        }
         Planned::Health => {
             let info = coordinator.health();
             (

@@ -36,7 +36,7 @@ use earthmover_core::storage;
 use earthmover_core::{Deadline, Histogram, HistogramDb, QueryPlan, RetrievalInfo, RetrievalMode};
 use earthmover_obs::TraceContext;
 use std::io::{self, Read, Write};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::schema::{ext, request, response};
 pub use crate::schema::{MIN_VERSION, VERSION};
@@ -568,14 +568,23 @@ pub(crate) fn plan(
     }
 }
 
-/// The wire's `deadline_us` as a [`Deadline`]: `0` means the receiver's
-/// `default` budget (unbounded when that is `None`).
-pub(crate) fn deadline_from_wire(deadline_us: u64, default: Option<Duration>) -> Deadline {
-    match (deadline_us, default) {
-        (0, Some(budget)) => Deadline::within(budget),
-        (0, None) => Deadline::none(),
-        (us, _) => Deadline::within(Duration::from_micros(us)),
-    }
+/// The wire's `deadline_us` as a [`Deadline`] counted from `arrived`,
+/// the instant its frame was read, so time spent waiting for a worker is
+/// charged to the budget: `0` means the receiver's `default` budget
+/// (unbounded when that is `None`).
+pub(crate) fn deadline_from_wire(
+    deadline_us: u64,
+    default: Option<Duration>,
+    arrived: Instant,
+) -> Deadline {
+    let budget = match (deadline_us, default) {
+        (0, Some(budget)) => budget,
+        (0, None) => return Deadline::none(),
+        (us, _) => Duration::from_micros(us),
+    };
+    arrived
+        .checked_add(budget)
+        .map_or_else(Deadline::none, Deadline::at)
 }
 
 /// A [`Deadline`] as the wire's `deadline_us`, the inverse of
@@ -1025,6 +1034,18 @@ mod tests {
     fn hist(dims: usize) -> Histogram {
         let bins: Vec<f64> = (0..dims).map(|i| 1.0 + i as f64).collect();
         Histogram::new(bins).unwrap()
+    }
+
+    #[test]
+    fn wire_deadline_counts_from_frame_arrival() {
+        let arrived = Instant::now() - Duration::from_millis(5);
+        assert!(deadline_from_wire(1_000, None, arrived).expired());
+        let budget = Duration::from_secs(10);
+        let left = deadline_from_wire(0, Some(budget), arrived)
+            .remaining()
+            .unwrap();
+        assert!(left <= budget - Duration::from_millis(5), "{left:?} left");
+        assert!(deadline_from_wire(0, None, arrived).is_unbounded());
     }
 
     fn roundtrip_request(req: &Request) -> Request {

@@ -1,13 +1,13 @@
 //! The single-node query daemon: the shared, crate-private daemon
-//! runtime (`runtime` — acceptor, bounded queue, shed lane, worker pool,
-//! keep-alive loop and drain, DESIGN.md §12) with a handler that runs
+//! runtime (`runtime` — acceptor, connection threads, worker permits,
+//! shedding and drain, DESIGN.md §12) with a handler that runs
 //! each decoded request against a [`QueryEngine`].
 //!
 //! Shutdown is cooperative: a [`Request::Shutdown`] frame or the
 //! process's stop flag (signal handler) makes the acceptor stop
-//! accepting; workers finish the queued and in-flight requests, close
-//! their connections after the current response, and the run returns
-//! after flushing telemetry.
+//! accepting; idle connections close, the requests already read are
+//! answered, each connection closes after its current response, and the
+//! run returns after flushing telemetry.
 
 use crate::protocol::{
     self, ErrorCode, Planned, Request, RequestExt, Response, DEFAULT_MAX_FRAME_LEN,
@@ -27,13 +27,16 @@ use std::time::{Duration, Instant};
 /// values; tests shrink the pool and queue to force admission control.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing queries (min 1).
+    /// Requests executed at once, whatever the number of connections
+    /// (min 1).
     pub workers: usize,
-    /// Bounded connection-queue depth. `0` sheds every request — useful
-    /// for deterministic overload tests.
+    /// Requests that may wait for a busy worker; one arriving beyond
+    /// that is shed with a typed `overloaded` answer. `0` sheds every
+    /// request that finds all workers busy.
     pub queue_depth: usize,
-    /// Per-connection idle read timeout; an idle keep-alive connection
-    /// is closed after this long without a frame.
+    /// Per-connection idle read timeout: an idle keep-alive connection
+    /// is closed after this long without a frame, and a frame must
+    /// arrive whole within it. An idle connection holds no worker.
     pub read_timeout: Duration,
     /// Per-response write timeout.
     pub write_timeout: Duration,
@@ -81,7 +84,7 @@ impl StopHandle {
     }
 }
 
-/// State shared by the workers: the single-node [`Handler`].
+/// State shared by the connection threads: the single-node [`Handler`].
 pub(crate) struct Shared<'env> {
     engine: QueryEngine<'env>,
     db: &'env HistogramDb,
@@ -124,13 +127,13 @@ impl Server {
     }
 
     /// Runs the daemon until a shutdown is requested, then drains and
-    /// returns. Blocks the calling thread; the worker pool is scoped
-    /// inside, which is what lets the engine borrow `db` and `grid`
-    /// instead of requiring `'static` ownership.
+    /// returns. Blocks the calling thread; the connection threads are
+    /// scoped inside, which is what lets the engine borrow `db` and
+    /// `grid` instead of requiring `'static` ownership.
     ///
-    /// `subscriber`, when given, is installed on every worker thread (so
-    /// `serve_connection` / `serve_request` spans reach it) and flushed
-    /// on the graceful-shutdown path.
+    /// `subscriber`, when given, is installed on every connection thread
+    /// (so `serve_connection` / `serve_request` spans reach it) and
+    /// flushed on the graceful-shutdown path.
     pub fn run(
         &self,
         db: &HistogramDb,
@@ -217,7 +220,7 @@ impl Handler for Shared<'_> {
         let _trace_scope = trace.map(|t| obs::set_trace(Some(t)));
         let mut span = obs::span!(names::SERVE_REQUEST);
         let (response, keep_going) = match request {
-            Ok((req, exts)) => execute(self, req, exts.mode),
+            Ok((req, exts)) => execute(self, req, exts.mode, started),
             Err(bad_request) => (bad_request, true),
         };
         if matches!(response, Response::DeadlineExceeded { .. }) {
@@ -234,10 +237,15 @@ impl Handler for Shared<'_> {
     }
 }
 
-/// Runs one decoded request against the engine. Returns the response
-/// and whether the connection may continue. `mode` is the request's
-/// retrieval-mode extension.
-fn execute(shared: &Shared<'_>, req: Request, mode: Option<RetrievalMode>) -> (Response, bool) {
+/// Runs one decoded request, whose frame arrived at `arrived`, against
+/// the engine. Returns the response and whether the connection may
+/// continue. `mode` is the request's retrieval-mode extension.
+fn execute(
+    shared: &Shared<'_>,
+    req: Request,
+    mode: Option<RetrievalMode>,
+    arrived: Instant,
+) -> (Response, bool) {
     match protocol::plan(&req, mode, shared.cfg.default_mode) {
         Planned::Query(histogram, plan, deadline_us) => {
             if histogram.len() != shared.db.dims() {
@@ -250,7 +258,8 @@ fn execute(shared: &Shared<'_>, req: Request, mode: Option<RetrievalMode>) -> (R
             {
                 shared.registry.counter(&names::SKETCH_QUERIES_TOTAL).inc(1);
             }
-            let deadline = protocol::deadline_from_wire(deadline_us, shared.cfg.default_deadline);
+            let deadline =
+                protocol::deadline_from_wire(deadline_us, shared.cfg.default_deadline, arrived);
             match shared.engine.query(histogram, plan, deadline) {
                 Ok(result) => (query_response(result), true),
                 Err(e) => (internal_error(shared, &e.to_string()), true),

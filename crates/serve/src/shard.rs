@@ -153,10 +153,9 @@ impl ShardEndpoint {
                 Ok(Outcome::Overloaded { .. }) => {
                     // The shard's admission control shed us: it is alive
                     // (no breaker failure) but retrying immediately would
-                    // make the overload worse — back off. The shed lane
-                    // hangs up after answering, so reconnect next time.
+                    // make the overload worse — back off, on the same
+                    // connection.
                     self.breaker.record_success();
-                    self.client = None;
                     last_failure = "shard shed the request (overloaded)".to_string();
                 }
                 Ok(outcome) => {

@@ -19,7 +19,7 @@ use earthmover_serve::{
     Server, ServerConfig, WireError,
 };
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn corpus_db(count: usize) -> (BinGrid, HistogramDb) {
@@ -62,8 +62,8 @@ fn with_daemon(db: &HistogramDb, grid: &BinGrid, cfg: ServerConfig, body: impl F
 
 /// Which daemon a test talks to: the single node, or a coordinator
 /// front end over that node as its only shard. Both run the same
-/// accept → queue → shed → worker runtime, so the admission tests take
-/// each in turn.
+/// runtime (connection threads, requests admitted under worker permits
+/// or shed), so the admission tests take each in turn.
 #[derive(Debug, Clone, Copy)]
 enum FrontEnd {
     Node,
@@ -281,30 +281,100 @@ fn tight_deadline_yields_typed_partial_within_budget() {
     });
 }
 
+/// With one permit and no waiting room, concurrent clients must see a
+/// request shed as a typed `Overloaded` frame within 5 s.
 #[test]
 fn full_queue_sheds_with_typed_overloaded_response() {
+    const CLIENTS: usize = 4;
     let (grid, db) = corpus_db(200);
     for front in FRONT_ENDS {
         let cfg = ServerConfig {
             workers: 1,
-            queue_depth: 0, // every request sheds — deterministic overload
+            queue_depth: 0,
             ..ServerConfig::default()
         };
+        let mut shed = None;
         with_front_end(front, &db, &grid, cfg, |addr| {
-            let mut client = Client::connect(addr, Duration::from_secs(10)).unwrap();
-            let q = db.get(0).to_histogram();
-            let outcome = client.knn(&q, 5, 0).unwrap();
-            let Outcome::Overloaded { queue_depth, stats } = outcome else {
-                panic!("{front:?}: queue depth 0 must shed, got {outcome:?}");
-            };
-            assert_eq!(queue_depth, 0);
-            assert_eq!(stats.db_size, db.len(), "{front:?}");
-            assert!(
-                stats.degradations.iter().any(|n| n == OVERLOAD_NOTE),
-                "shed must be recorded in QueryStats::degradations: {:?}",
-                stats.degradations
-            );
+            wait_healthy(addr);
+            let give_up = Instant::now() + Duration::from_secs(5);
+            let found = Mutex::new(None);
+            std::thread::scope(|scope| {
+                for c in 0..CLIENTS {
+                    let (found, q) = (&found, db.get(c).to_histogram());
+                    scope.spawn(move || {
+                        let mut client = Client::connect(addr, Duration::from_secs(10)).unwrap();
+                        while Instant::now() < give_up && found.lock().unwrap().is_none() {
+                            if let Outcome::Overloaded { queue_depth, stats } =
+                                client.knn(&q, 5, 0).unwrap()
+                            {
+                                *found.lock().unwrap() = Some((queue_depth, stats));
+                            }
+                        }
+                    });
+                }
+            });
+            shed = found.into_inner().unwrap();
         });
+        let (queue_depth, stats) =
+            shed.unwrap_or_else(|| panic!("{front:?}: no request was shed within 5 s"));
+        assert_eq!(queue_depth, 0);
+        assert_eq!(stats.db_size, db.len(), "{front:?}");
+        assert!(
+            stats.degradations.iter().any(|n| n == OVERLOAD_NOTE),
+            "shed must be recorded in QueryStats::degradations: {:?}",
+            stats.degradations
+        );
+    }
+}
+
+/// Idle connections hold no worker: with both of `workers: 2` held by
+/// silent sockets, a health probe still answers within `read_timeout`/10.
+#[test]
+fn idle_connections_leave_the_workers_free() {
+    let (grid, db) = corpus_db(100);
+    for front in FRONT_ENDS {
+        let cfg = ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        };
+        let budget = cfg.read_timeout / 10;
+        let mut probe = None;
+        with_front_end(front, &db, &grid, cfg, |addr| {
+            wait_healthy(addr);
+            let connect_by = || Deadline::within(Duration::from_secs(5));
+            let _idle: Vec<Conn> = (0..2)
+                .map(|_| Conn::connect(&[addr], connect_by()).unwrap())
+                .collect();
+            let started = Instant::now();
+            let health = Client::connect(addr, budget).and_then(|mut c| c.health());
+            probe = Some((health.map(|_| ()), started.elapsed()));
+        });
+        let (health, took) = probe.expect("the probe ran");
+        assert!(health.is_ok(), "{front:?}: health probe failed: {health:?}");
+        assert!(took < budget, "{front:?}: health probe took {took:?}");
+    }
+}
+
+/// A drain does not wait out an idle kept connection's `read_timeout`.
+#[test]
+fn drain_closes_an_idle_kept_connection_at_once() {
+    let (grid, db) = corpus_db(100);
+    for front in FRONT_ENDS {
+        let mut kept = None;
+        let mut stopping = None;
+        with_front_end(front, &db, &grid, ServerConfig::default(), |addr| {
+            wait_healthy(addr);
+            let mut client = Client::connect(addr, Duration::from_secs(10)).unwrap();
+            assert!(client.health().is_ok(), "{front:?}");
+            kept = Some(client);
+            stopping = Some(Instant::now());
+        });
+        let took = stopping.expect("the body ran").elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "{front:?}: drain took {took:?}"
+        );
+        drop(kept);
     }
 }
 

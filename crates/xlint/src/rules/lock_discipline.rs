@@ -2,7 +2,7 @@
 //! blocking calls under a guard.
 //!
 //! The cluster stack holds its shared state behind `Mutex`/`RwLock`
-//! fields (connection queues, breaker cores, telemetry rings). The
+//! fields (worker permits, breaker cores, telemetry rings). The
 //! failure modes are classic: two locks taken in opposite orders on
 //! two code paths deadlock under load; a guard held across a blocking
 //! call (`join`, socket I/O, channel `recv`) turns one slow peer into
